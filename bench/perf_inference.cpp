@@ -325,112 +325,6 @@ void run_linalg_backend_report(const char* json_path) {
   vn2::bench_support::write_record_file(json_path, record);
 }
 
-// One-shot diagnose_batch vs chunked diagnose_stream on a sink-scale state
-// stream: the streaming path must match per state bit-for-bit while holding
-// peak memory to one batch and amortizing NNLS workspace setup. Both runs
-// use the same thread budget, so the delta isolates the streaming overhead
-// (or gain, from workspace reuse).
-void run_stream_report(const char* json_path) {
-  const std::size_t total = vn2::bench_support::scaled_size(20000, 2000);
-  const TrainingReport report = trained_model(25);
-  const Matrix probes = vn2::testing::synthetic_states(total, 6);
-
-  const std::size_t hardware = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::thread::hardware_concurrency()));
-  const std::size_t threads = std::max<std::size_t>(4, hardware);
-  vn2::core::set_num_threads(threads);
-
-  vn2::core::StreamOptions options;
-  options.batch_size = 2048;
-  const std::size_t reps = vn2::bench_support::bench_reps();
-  std::vector<double> batch_samples, stream_samples, speedup_samples;
-  // The RSS series is the point of this comparison: streaming should
-  // plateau at one batch while one-shot grows with the whole stream.
-  vn2::telemetry::ResourceSampler batch_sampler, stream_sampler;
-  bool identical = true;
-  std::size_t batches = 0;
-  for (std::size_t rep = 0; rep < reps; ++rep) {
-    // vn2-lint: allow(nondeterminism-clock)
-    auto start = std::chrono::steady_clock::now();
-    batch_sampler.start();
-    const auto one_shot = vn2::core::diagnose_batch(report.model, probes);
-    batch_sampler.stop();
-    batch_samples.push_back(seconds_since(start));
-
-    std::vector<vn2::core::Diagnosis> streamed;
-    streamed.reserve(total);
-    // vn2-lint: allow(nondeterminism-clock)
-    start = std::chrono::steady_clock::now();
-    stream_sampler.start();
-    const auto stream_report = vn2::core::diagnose_stream(
-        report.model, probes, options,
-        [&](std::size_t, const std::vector<vn2::core::Diagnosis>& chunk) {
-          streamed.insert(streamed.end(), chunk.begin(), chunk.end());
-        });
-    stream_sampler.stop();
-    stream_samples.push_back(seconds_since(start));
-    speedup_samples.push_back(stream_samples.back() > 0.0
-                                  ? batch_samples.back() /
-                                        stream_samples.back()
-                                  : 0.0);
-
-    if (rep == 0) {
-      batches = stream_report.batches;
-      identical = one_shot.size() == streamed.size();
-      for (std::size_t i = 0; identical && i < one_shot.size(); ++i) {
-        identical = one_shot[i].residual == streamed[i].residual &&
-                    one_shot[i].weights.size() == streamed[i].weights.size();
-        for (std::size_t r = 0; identical && r < one_shot[i].weights.size();
-             ++r)
-          identical = one_shot[i].weights[r] == streamed[i].weights[r];
-      }
-    }
-  }
-  vn2::core::set_num_threads(0);
-
-  const double batch_median =
-      vn2::benchstat::summarize(batch_samples).median;
-  const double stream_median =
-      vn2::benchstat::summarize(stream_samples).median;
-  std::printf("diagnose_stream of %zu states (r=25, %zu threads, batches of "
-              "%zu): one-shot %.3fs (%.0f/s), stream %.3fs (%.0f/s), "
-              "%.2fx (medians of %zu), %zu batches, outputs %s\n",
-              total, threads, options.batch_size, batch_median,
-              batch_median > 0.0 ? total / batch_median : 0.0, stream_median,
-              stream_median > 0.0 ? total / stream_median : 0.0,
-              vn2::benchstat::summarize(speedup_samples).median, reps,
-              batches, identical ? "identical" : "DIVERGED");
-
-  auto record = vn2::bench_support::make_record(
-      "diagnose_stream",
-      "one-shot diagnose_batch vs chunked diagnose_stream over a "
-      "sink-scale state stream, r=25");
-  record.environment.threads = threads;
-  record.scale = {{"states", static_cast<double>(total)},
-                  {"rank", 25.0},
-                  {"threads", static_cast<double>(threads)},
-                  {"batch_size", static_cast<double>(options.batch_size)},
-                  {"batches", static_cast<double>(batches)}};
-  record.cases.push_back(
-      {"diagnose_batch",
-       {vn2::benchstat::make_metric("seconds", "s", true, false,
-                                    batch_samples)},
-       vn2::bench_support::case_resources(batch_sampler)});
-  record.cases.push_back(
-      {"diagnose_stream",
-       {vn2::benchstat::make_metric("seconds", "s", true, false,
-                                    stream_samples)},
-       vn2::bench_support::case_resources(stream_sampler)});
-  // Both paths share the thread budget, so their ratio is core-count
-  // independent and safe to gate.
-  record.cases.push_back(
-      {"stream_vs_batch",
-       {vn2::benchstat::make_metric("stream_speedup", "x", false, true,
-                                    speedup_samples)}});
-  record.checks.push_back({"diagnose_stream_bit_identical", identical});
-  vn2::bench_support::write_record_file(json_path, record);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -448,7 +342,6 @@ int main(int argc, char** argv) {
   if (!skip_report) {
     run_parallel_report("BENCH_parallel_inference.json");
     run_linalg_backend_report("BENCH_linalg_inference.json");
-    run_stream_report("BENCH_inference_stream.json");
   }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

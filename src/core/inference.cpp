@@ -16,6 +16,11 @@ using linalg::Vector;
 
 namespace {
 
+// States per parallel_for task in diagnose_batch. Each chunk owns one
+// NnlsWorkspace, so the solver scratch warms up once per chunk instead of
+// once per state.
+constexpr std::size_t kStatesPerChunk = 64;
+
 // One diagnosis against a pre-transposed Ψᵀ, so batch callers pay for the
 // transpose once instead of once per state. The workspace recycles the
 // NNLS scratch across states (warm == cold bit-for-bit, see nnls.hpp).
@@ -52,14 +57,6 @@ Diagnosis diagnose_against(const Matrix& psi_t, const Vn2Model& model,
   return diagnosis;
 }
 
-// Cold-workspace convenience for the one-shot paths.
-Diagnosis diagnose_against(const Matrix& psi_t, const Vn2Model& model,
-                           const Vector& raw_state,
-                           const DiagnoseOptions& options) {
-  linalg::NnlsWorkspace workspace;
-  return diagnose_against(psi_t, model, raw_state, options, workspace);
-}
-
 void check_batch_input(const Vn2Model& model, const Matrix& raw_states,
                        const char* who) {
   if (!model.trained())
@@ -76,8 +73,9 @@ Diagnosis diagnose(const Vn2Model& model, const Vector& raw_state,
     throw std::invalid_argument("diagnose: model is not trained");
   VN2_CHECK(raw_state.size() == metrics::kMetricCount,
             "diagnose: state vector must match the 43-metric schema");
+  linalg::NnlsWorkspace workspace;
   return diagnose_against(linalg::transpose(model.psi()), model, raw_state,
-                          options);
+                          options, workspace);
 }
 
 std::vector<Diagnosis> diagnose_batch(const Vn2Model& model,
@@ -85,78 +83,34 @@ std::vector<Diagnosis> diagnose_batch(const Vn2Model& model,
                                       const DiagnoseOptions& options) {
   check_batch_input(model, raw_states, "diagnose_batch");
   VN2_SPAN("vn2.diagnose_batch");
-  VN2_COUNT_N("vn2.states.diagnosed", raw_states.rows());
-  const Matrix a = linalg::transpose(model.psi());
-  // Each state's NNLS is independent; slot i is written only by task i, so
-  // the batch matches the serial per-state loop at any thread count.
-  std::vector<Diagnosis> diagnoses(raw_states.rows());
-  parallel_for(0, raw_states.rows(), 8, [&](std::size_t i) {
-    diagnoses[i] =
-        diagnose_against(a, model, raw_states.row_vector(i), options);
-  });
-  return diagnoses;
-}
-
-StreamReport diagnose_stream(const Vn2Model& model, const Matrix& raw_states,
-                             const StreamOptions& options,
-                             const DiagnosisSink& sink) {
-  check_batch_input(model, raw_states, "diagnose_stream");
-  VN2_CHECK(options.batch_size > 0, "diagnose_stream: batch_size must be > 0");
-  VN2_CHECK(options.chunk > 0, "diagnose_stream: chunk must be > 0");
-  VN2_SPAN("vn2.diagnose_stream");
   const std::size_t total = raw_states.rows();
   VN2_COUNT_N("vn2.states.diagnosed", total);
-
   const Matrix a = linalg::transpose(model.psi());
-  // The bounded queue: one batch of Diagnosis slots, recycled every
-  // iteration (slot vectors keep their heap capacity), so the stream's
-  // memory footprint is O(batch_size) however many states flow through.
-  std::vector<Diagnosis> batch(std::min(options.batch_size, total));
-  // One NNLS workspace per chunk slot. Chunk c is task c of the
-  // parallel_for, so workspace c is index-owned (race-free) and — because
-  // a warm workspace solves bit-identically to a cold one — reusing it
-  // across chunks' states and across batches never changes a result, it
-  // only amortizes the allocations away.
-  const std::size_t chunk = options.chunk;
-  const std::size_t slots = (batch.size() + chunk - 1) / chunk;
-  std::vector<linalg::NnlsWorkspace> workspaces(slots);
-
-  StreamReport report;
-  for (std::size_t first = 0; first < total; first += batch.size()) {
-    const std::size_t count = std::min(batch.size(), total - first);
-    const std::size_t chunks = (count + chunk - 1) / chunk;
-    VN2_SPAN("vn2.diagnose_stream.batch");
-    parallel_for(0, chunks, 1, [&](std::size_t c) {
-      const std::size_t begin = c * chunk;
-      const std::size_t end = std::min(begin + chunk, count);
-      for (std::size_t i = begin; i < end; ++i)
-        batch[i] = diagnose_against(a, model,
-                                    raw_states.row_vector(first + i),
-                                    options.diagnose, workspaces[c]);
-    });
-    if (count < batch.size()) batch.resize(count);
-    for (std::size_t i = 0; i < count; ++i)
-      if (batch[i].is_exception) ++report.exceptions;
-    report.states += count;
-    ++report.batches;
-    VN2_COUNT("vn2.stream.batches");
-    if (sink) sink(first, batch);
-  }
-  return report;
+  // Chunk c covers states [64c, 64c + 64) and is the only writer of their
+  // slots and of its workspace, so the batch matches the serial per-state
+  // loop at any thread count.
+  std::vector<Diagnosis> diagnoses(total);
+  const std::size_t chunks = (total + kStatesPerChunk - 1) / kStatesPerChunk;
+  parallel_for(0, chunks, [&](std::size_t c) {
+    linalg::NnlsWorkspace workspace;
+    const std::size_t end = std::min(total, (c + 1) * kStatesPerChunk);
+    for (std::size_t i = c * kStatesPerChunk; i < end; ++i)
+      diagnoses[i] = diagnose_against(a, model, raw_states.row_vector(i),
+                                      options, workspace);
+  });
+  return diagnoses;
 }
 
 Matrix correlation_strengths(const Vn2Model& model, const Matrix& raw_states,
                              const DiagnoseOptions& options) {
   check_batch_input(model, raw_states, "correlation_strengths");
   VN2_SPAN("vn2.correlation_strengths");
-  const Matrix a = linalg::transpose(model.psi());
+  const std::vector<Diagnosis> diagnoses =
+      diagnose_batch(model, raw_states, options);
   Matrix w(raw_states.rows(), model.rank());
-  parallel_for(0, raw_states.rows(), 8, [&](std::size_t i) {
-    const Vector encoded =
-        model.encoder().encode(raw_states.row_vector(i));
-    const linalg::NnlsResult solution = linalg::nnls(a, encoded, options.nnls);
-    for (std::size_t r = 0; r < model.rank(); ++r) w(i, r) = solution.x[r];
-  });
+  for (std::size_t i = 0; i < diagnoses.size(); ++i)
+    for (std::size_t r = 0; r < model.rank(); ++r)
+      w(i, r) = diagnoses[i].weights[r];
   return w;
 }
 

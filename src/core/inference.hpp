@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <vector>
 
 #include "core/model.hpp"
@@ -43,52 +42,16 @@ Diagnosis diagnose(const Vn2Model& model, const linalg::Vector& raw_state,
 
 /// Diagnoses a batch of raw states (n × 43), solving the independent
 /// per-state NNLS problems across the global worker pool (see
-/// core/parallel.hpp). Result i equals diagnose(model, row i, options)
-/// bit-for-bit at any thread count; Ψᵀ is formed once for the whole batch.
+/// core/parallel.hpp) in fixed chunks of states, one NNLS workspace per
+/// chunk. Result i equals diagnose(model, row i, options) bit-for-bit at
+/// any thread count; Ψᵀ is formed once for the whole batch.
 std::vector<Diagnosis> diagnose_batch(const Vn2Model& model,
                                       const linalg::Matrix& raw_states,
                                       const DiagnoseOptions& options = {});
 
-/// Tuning for diagnose_stream's bounded-queue batch loop.
-struct StreamOptions {
-  /// States resident in the queue at once — the memory bound. The stream
-  /// path never materializes more than this many Diagnosis objects.
-  std::size_t batch_size = 1024;
-  /// States per parallel_for task: cache-sized chunks instead of one task
-  /// per state, and one NnlsWorkspace per chunk slot (reused across
-  /// batches) so workspace setup amortizes over the whole stream.
-  std::size_t chunk = 64;
-  DiagnoseOptions diagnose;
-};
-
-/// What a completed stream processed.
-struct StreamReport {
-  std::size_t states = 0;     ///< Rows diagnosed.
-  std::size_t batches = 0;    ///< Sink invocations.
-  std::size_t exceptions = 0; ///< States flagged by the ε rule.
-};
-
-/// Receives each completed batch, serially and in state order: `first` is
-/// the global row index of `batch.front()`. The batch buffer is reused for
-/// the next batch — copy anything that must outlive the call.
-using DiagnosisSink =
-    std::function<void(std::size_t first, const std::vector<Diagnosis>& batch)>;
-
-/// Streaming sink-side inference for millions-of-states workloads: pulls
-/// raw_states through a bounded queue of batch_size states, diagnoses each
-/// batch across the worker pool in cache-sized chunks, and hands finished
-/// batches to the sink in order. Per state the result equals
-/// diagnose(model, row, options.diagnose) bit-for-bit at any thread count,
-/// batch size, or chunk size: chunk slot c owns workspace c (index-owned,
-/// race-free) and a warm NnlsWorkspace is result-identical to a cold one.
-/// Ψᵀ is formed once for the whole stream.
-StreamReport diagnose_stream(const Vn2Model& model,
-                             const linalg::Matrix& raw_states,
-                             const StreamOptions& options,
-                             const DiagnosisSink& sink);
-
 /// Computes the full correlation-strength matrix W (n × r) for a batch of
 /// raw states — the data behind the paper's Fig. 3(c), 5(b), 6(b) scatters.
+/// Row i equals diagnose_batch(model, raw_states, options)[i].weights.
 linalg::Matrix correlation_strengths(const Vn2Model& model,
                                      const linalg::Matrix& raw_states,
                                      const DiagnoseOptions& options = {});

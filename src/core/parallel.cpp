@@ -158,30 +158,26 @@ ThreadPool& global_pool() {
   return *g_pool;
 }
 
-void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
+void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& fn) {
   if (end <= begin) return;
   const std::size_t n = end - begin;
-  const std::size_t chunk = std::max<std::size_t>(grain, 1);
-  if (n <= chunk || num_threads() <= 1 || ThreadPool::inside_worker()) {
+  if (n == 1 || num_threads() <= 1 || ThreadPool::inside_worker()) {
     VN2_COUNT("parallel.regions_inline");
     VN2_COUNT_N("parallel.tasks", 1);
     for (std::size_t i = begin; i < end; ++i) fn(i);
     return;
   }
-  const std::size_t chunks = (n + chunk - 1) / chunk;
   VN2_COUNT("parallel.regions");
-  VN2_COUNT_N("parallel.tasks", chunks);
+  VN2_COUNT_N("parallel.tasks", n);
   // Workers inherit the submitting thread's span path, so spans opened
   // inside fn() attribute to the enclosing call tree instead of showing
   // up as roots. The submitting thread itself still owns its path, and
   // SpanPathScope refuses the prefix there (its span depth is nonzero).
   const std::string parent_path = telemetry::current_span_path();
-  global_pool().run(chunks, [&](std::size_t c) {
+  global_pool().run(n, [&](std::size_t task) {
     telemetry::SpanPathScope scope(parent_path);
-    const std::size_t lo = begin + c * chunk;
-    const std::size_t hi = std::min(end, lo + chunk);
-    for (std::size_t i = lo; i < hi; ++i) fn(i);
+    fn(begin + task);
   });
 }
 

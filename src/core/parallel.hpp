@@ -4,10 +4,10 @@
 // std::thread — the substrate for the analysis hot paths (row-parallel
 // matmul, the rank sweep, batch diagnosis, batch simulation). Design rules:
 //
-//  * Determinism: parallel_for partitions [begin, end) into fixed chunks
-//    and every index is visited exactly once; callers that write only to
-//    index-owned slots (output row i, sweep slot k, ...) produce results
-//    bit-identical to the serial loop, at any thread count.
+//  * Determinism: parallel_for visits every index of [begin, end) exactly
+//    once; callers that write only to index-owned slots (output row i,
+//    sweep slot k, ...) produce results bit-identical to the serial loop,
+//    at any thread count.
 //  * `set_num_threads(1)` (or a single-core machine) reproduces today's
 //    serial behaviour exactly: parallel_for degenerates to a plain loop on
 //    the calling thread and no pool is ever created.
@@ -86,12 +86,12 @@ void set_num_threads(std::size_t n);
 /// set_num_threads changes the budget.
 ThreadPool& global_pool();
 
-/// Calls `fn(i)` for every i in [begin, end) exactly once. Work is split
-/// into chunks of `grain` consecutive indices (grain 0 is treated as 1) and
-/// the chunks are executed on the global pool. Runs serially inline when
-/// the budget is 1, when the range fits in a single chunk, or when already
-/// inside a pool worker. Exceptions from `fn` propagate to the caller.
-void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
+/// Calls `fn(i)` for every i in [begin, end) exactly once, one pool task
+/// per index; callers that want coarser tasks index chunks of their own.
+/// Runs serially inline when the budget is 1, when the range holds a
+/// single index, or when already inside a pool worker. Exceptions from
+/// `fn` propagate to the caller.
+void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& fn);
 
 }  // namespace vn2::core

@@ -194,7 +194,7 @@ void matmul_into(const Matrix& a, const Matrix& b, Matrix& out) {
     const std::size_t block =
         std::clamp<std::size_t>(n / (4 * threads), 4, 64);
     const std::size_t tasks = (n + block - 1) / block;
-    core::parallel_for(0, tasks, 1, [&](std::size_t t) {
+    core::parallel_for(0, tasks, [&](std::size_t t) {
       const std::size_t begin = t * block;
       kernels::gemm_rows(a.data(), b.data(), out.data(), k, m, begin,
                          std::min(n, begin + block));

@@ -29,7 +29,7 @@ std::vector<RankPoint> rank_sweep(const linalg::Matrix& e,
   std::vector<RankPoint> sweep(valid.size());
   VN2_SPAN("nmf.rank_sweep");
   VN2_COUNT_N("nmf.rank_sweep.candidates", valid.size());
-  core::parallel_for(0, valid.size(), 1, [&](std::size_t index) {
+  core::parallel_for(0, valid.size(), [&](std::size_t index) {
     const std::size_t r = valid[index];
     NmfOptions nmf_options = options.nmf;
     nmf_options.seed = options.nmf.seed + r * 0x9e3779b9ULL;

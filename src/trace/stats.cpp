@@ -11,11 +11,10 @@ namespace vn2::trace {
 
 namespace {
 
-struct Accumulator {
-  std::size_t originated = 0;
-  std::size_t delivered = 0;
-  double hop_sum = 0.0;
-  double hop_max = 0.0;
+struct Hops {
+  std::size_t records = 0;
+  double sum = 0.0;
+  double max = 0.0;
 };
 
 void fill_from_trace(const Trace& trace, std::map<wsn::NodeId, NodeStats>& by_node) {
@@ -58,30 +57,35 @@ NetworkStats compute_stats(const wsn::SimulationResult& result,
   std::map<wsn::NodeId, NodeStats> by_node;
   fill_from_trace(trace, by_node);
 
-  std::map<wsn::NodeId, Accumulator> flows;
-  for (const wsn::Origination& o : result.originations)
-    flows[o.origin].originated++;
-  for (const wsn::SinkPacketRecord& record : result.sink_log) {
-    Accumulator& acc = flows[record.origin];
-    acc.delivered++;
-    acc.hop_sum += record.hops;
-    acc.hop_max = std::max(acc.hop_max, static_cast<double>(record.hops));
-  }
-
-  double total_hops = 0.0;
   std::size_t total_delivered = 0, total_originated = 0;
-  for (const auto& [id, acc] : flows) {
+  for (const auto& [id, counts] : report_delivery(result)) {
     NodeStats& node_stats = by_node[id];
     node_stats.node = id;
-    if (acc.originated > 0)
-      node_stats.prr = static_cast<double>(acc.delivered) /
-                       static_cast<double>(acc.originated);
-    if (acc.delivered > 0)
-      node_stats.mean_hops = acc.hop_sum / static_cast<double>(acc.delivered);
-    node_stats.max_hops = acc.hop_max;
-    total_hops += acc.hop_sum;
-    total_delivered += acc.delivered;
-    total_originated += acc.originated;
+    node_stats.prr = static_cast<double>(counts.delivered) /
+                     static_cast<double>(counts.originated);
+    total_delivered += counts.delivered;
+    total_originated += counts.originated;
+  }
+
+  // Hop counts describe every packet that reached the sink, duplicates
+  // included.
+  std::map<wsn::NodeId, Hops> hops;
+  for (const wsn::SinkPacketRecord& record : result.sink_log) {
+    Hops& node_hops = hops[record.origin];
+    node_hops.records++;
+    node_hops.sum += record.hops;
+    node_hops.max = std::max(node_hops.max, static_cast<double>(record.hops));
+  }
+  double total_hops = 0.0;
+  std::size_t total_records = 0;
+  for (const auto& [id, node_hops] : hops) {
+    NodeStats& node_stats = by_node[id];
+    node_stats.node = id;
+    node_stats.mean_hops =
+        node_hops.sum / static_cast<double>(node_hops.records);
+    node_stats.max_hops = node_hops.max;
+    total_hops += node_hops.sum;
+    total_records += node_hops.records;
   }
 
   NetworkStats stats = finalize(std::move(by_node));
@@ -89,10 +93,10 @@ NetworkStats compute_stats(const wsn::SimulationResult& result,
   if (total_originated > 0)
     stats.overall_prr = static_cast<double>(total_delivered) /
                         static_cast<double>(total_originated);
-  if (total_delivered > 0)
-    stats.mean_hops = total_hops / static_cast<double>(total_delivered);
-  // reporting_nodes counted snapshot-holders only; flows may add silent
-  // originators (originated but nothing assembled).
+  if (total_records > 0)
+    stats.mean_hops = total_hops / static_cast<double>(total_records);
+  // reporting_nodes counted snapshot-holders only; the PRR and hop loops
+  // may add silent originators (originated but nothing assembled).
   stats.reporting_nodes = 0;
   for (const NodeStats& node_stats : stats.nodes)
     if (node_stats.snapshots > 0) stats.reporting_nodes++;

@@ -13,7 +13,7 @@ namespace vn2::trace {
 struct NodeStats {
   wsn::NodeId node = wsn::kInvalidNode;
   std::size_t snapshots = 0;       ///< Complete epochs assembled at the sink.
-  double prr = 0.0;                ///< Delivered report packets / originated.
+  double prr = 0.0;                ///< Distinct reports delivered / originated.
   double mean_hops = 0.0;          ///< Mean hop count of delivered packets.
   double max_hops = 0.0;
   double parent_changes = 0.0;     ///< Final Parent_change_counter value.

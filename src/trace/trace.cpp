@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <tuple>
 
 #include "telemetry/telemetry.hpp"
 
@@ -119,10 +120,40 @@ std::vector<PrrPoint> prr_series(const wsn::SimulationResult& result,
   return points;
 }
 
+std::map<wsn::NodeId, Delivery> report_delivery(
+    const wsn::SimulationResult& result) {
+  using Key = std::tuple<wsn::NodeId, std::uint64_t, PacketType>;
+  std::vector<Key> originated;
+  originated.reserve(result.originations.size());
+  for (const wsn::Origination& o : result.originations)
+    originated.emplace_back(o.origin, o.epoch, o.type);
+  std::sort(originated.begin(), originated.end());
+  originated.erase(std::unique(originated.begin(), originated.end()),
+                   originated.end());
+  std::vector<bool> reached(originated.size(), false);
+  for (const wsn::SinkPacketRecord& r : result.sink_log) {
+    const Key key{r.origin, r.epoch, r.type};
+    const auto it = std::lower_bound(originated.begin(), originated.end(), key);
+    if (it != originated.end() && *it == key)
+      reached[static_cast<std::size_t>(it - originated.begin())] = true;
+  }
+  std::map<wsn::NodeId, Delivery> delivery;
+  for (std::size_t k = 0; k < originated.size(); ++k) {
+    Delivery& node = delivery[std::get<0>(originated[k])];
+    ++node.originated;
+    if (reached[k]) ++node.delivered;
+  }
+  return delivery;
+}
+
 double overall_prr(const wsn::SimulationResult& result) {
-  if (result.originations.empty()) return 1.0;
-  return static_cast<double>(result.sink_log.size()) /
-         static_cast<double>(result.originations.size());
+  std::size_t originated = 0, delivered = 0;
+  for (const auto& [node, counts] : report_delivery(result)) {
+    originated += counts.originated;
+    delivered += counts.delivered;
+  }
+  if (originated == 0) return 1.0;
+  return static_cast<double>(delivered) / static_cast<double>(originated);
 }
 
 }  // namespace vn2::trace

@@ -6,6 +6,7 @@
 
 #include <array>
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "linalg/matrix.hpp"
@@ -74,7 +75,21 @@ struct PrrPoint {
 std::vector<PrrPoint> prr_series(const wsn::SimulationResult& result,
                                  wsn::Time window);
 
-/// Overall PRR of the run.
+/// Self-report delivery of one originating node: its distinct originated
+/// (origin, epoch, type) keys, and how many of those reached the sink.
+/// Loop duplicates of a report count once; sink records of a key that was
+/// never originated do not count.
+struct Delivery {
+  std::size_t originated = 0;
+  std::size_t delivered = 0;
+};
+
+/// Delivery counts per originating node.
+std::map<wsn::NodeId, Delivery> report_delivery(
+    const wsn::SimulationResult& result);
+
+/// Overall PRR of the run: delivered over originated distinct reports,
+/// summed over report_delivery (1 when nothing was originated).
 double overall_prr(const wsn::SimulationResult& result);
 
 }  // namespace vn2::trace

@@ -75,7 +75,7 @@ TEST_F(CallTreeTest, ParallelForWorkersInheritSubmitterPath) {
   core::set_num_threads(4);
   {
     ScopedSpan outer("outer");
-    core::parallel_for(0, 64, 1, [](std::size_t) {
+    core::parallel_for(0, 64, [](std::size_t) {
       ScopedSpan unit("unit");
     });
   }

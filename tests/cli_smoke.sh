@@ -87,21 +87,25 @@ grep -q "linalg-backend simd" "$WORK/simd_err.txt"
 # --linalg-backend auto must always engage something runnable.
 "$VN2" diagnose --model "$WORK/model.vn2" --trace "$WORK/trace.csv" --top 3 \
     --linalg-backend auto | grep -q "exceptions"
-# The streaming diagnose path: bounded batches, same verdict counts as the
-# one-shot path.
-"$VN2" diagnose --model "$WORK/model.vn2" --trace "$WORK/trace.csv" --top 3 \
-    > "$WORK/diag_batch.txt"
-"$VN2" diagnose --model "$WORK/model.vn2" --trace "$WORK/trace.csv" --top 3 \
-    --batch-size 16 > "$WORK/diag_stream.txt"
-grep -q "batches of 16" "$WORK/diag_stream.txt"
-BATCH_COUNT=$(sed -n 's/^\([0-9]*\) of .* states are exceptions.*/\1/p' \
-    "$WORK/diag_batch.txt")
-STREAM_COUNT=$(sed -n 's/^\([0-9]*\) of .* states are exceptions.*/\1/p' \
-    "$WORK/diag_stream.txt")
-if [ "$BATCH_COUNT" != "$STREAM_COUNT" ]; then
-  echo "stream/batch diagnose disagree: $BATCH_COUNT vs $STREAM_COUNT" >&2
-  exit 1
-fi
+# Global options work before the command too, and the thread budget never
+# changes an answer: diagnose and incidents (which runs the batch NNLS
+# engine) print identical output at 1 and 4 threads.
+for CMD in diagnose incidents; do
+  "$VN2" --threads 1 "$CMD" --model "$WORK/model.vn2" \
+      --trace "$WORK/trace.csv" > "$WORK/${CMD}_t1.txt"
+  "$VN2" --threads 4 --linalg-backend auto "$CMD" \
+      --model "$WORK/model.vn2" --trace "$WORK/trace.csv" \
+      > "$WORK/${CMD}_t4.txt"
+  if ! cmp -s "$WORK/${CMD}_t1.txt" "$WORK/${CMD}_t4.txt"; then
+    echo "vn2 $CMD output differs between --threads 1 and 4" >&2
+    exit 1
+  fi
+done
+grep -q "exceptions" "$WORK/diagnose_t1.txt"
+grep -q "incidents from" "$WORK/incidents_t1.txt"
+"$VN2" --telemetry "$WORK/leading.json" stats --trace "$WORK/trace.csv" \
+    | grep -q "nodes reporting"
+grep -q '"counters"' "$WORK/leading.json"
 # Error paths exit non-zero.
 if "$VN2" train --trace /nonexistent.csv --out "$WORK/x" 2>/dev/null; then
   echo "expected failure on missing trace" >&2

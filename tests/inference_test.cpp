@@ -35,6 +35,12 @@ TEST_F(InferenceTest, RejectsBadInput) {
   EXPECT_THROW(diagnose(Vn2Model{}, Vector(metrics::kMetricCount)),
                std::invalid_argument);
   EXPECT_THROW(diagnose(report_.model, Vector(10)), std::invalid_argument);
+  Matrix one(0, 0);
+  one.append_row(synthetic_.states.row(0));
+  EXPECT_THROW(diagnose_batch(Vn2Model{}, one), std::invalid_argument);
+  EXPECT_THROW(correlation_strengths(Vn2Model{}, one), std::invalid_argument);
+  EXPECT_THROW(correlation_strengths(report_.model, Matrix(2, 10)),
+               std::invalid_argument);
 }
 
 TEST_F(InferenceTest, WeightsAreNonnegativeAndRanked) {
@@ -173,109 +179,54 @@ TEST(InferenceHelpers, ProfileCorrelation) {
 }
 
 // ---------------------------------------------------------------------------
-// diagnose_stream: the bounded-queue batch path must be an exact drop-in
-// for diagnose_batch — per state bit-identical at any batch size, chunk
-// size, or thread count — while only ever materializing one batch.
+// The inference engine: diagnose_batch (and correlation_strengths through
+// it) solves the states in fixed chunks of 64, one warm NNLS workspace per
+// chunk. Every row must equal the single-state diagnose bit for bit at any
+// thread count, including row counts that leave a partial last chunk.
 
-TEST_F(InferenceTest, StreamMatchesBatchBitForBit) {
-  const std::vector<Diagnosis> expected =
-      diagnose_batch(report_.model, synthetic_.states);
-  for (const std::size_t batch_size : {1ul, 7ul, 64ul, 10000ul}) {
-    StreamOptions options;
-    options.batch_size = batch_size;
-    options.chunk = 5;
-    std::size_t seen = 0;
-    const StreamReport report = diagnose_stream(
-        report_.model, synthetic_.states, options,
-        [&](std::size_t first, const std::vector<Diagnosis>& batch) {
-          ASSERT_EQ(first, seen);
-          for (std::size_t i = 0; i < batch.size(); ++i) {
-            const Diagnosis& got = batch[i];
-            const Diagnosis& want = expected[first + i];
-            ASSERT_EQ(got.weights, want.weights)
-                << "state " << first + i << " batch_size " << batch_size;
-            EXPECT_EQ(got.residual, want.residual);
-            EXPECT_EQ(got.exception_score, want.exception_score);
-            EXPECT_EQ(got.is_exception, want.is_exception);
-            ASSERT_EQ(got.ranked.size(), want.ranked.size());
-            for (std::size_t r = 0; r < got.ranked.size(); ++r) {
-              EXPECT_EQ(got.ranked[r].row, want.ranked[r].row);
-              EXPECT_EQ(got.ranked[r].strength, want.ranked[r].strength);
-            }
-          }
-          seen += batch.size();
-        });
-    EXPECT_EQ(seen, expected.size());
-    EXPECT_EQ(report.states, expected.size());
-    const std::size_t want_batches =
-        (expected.size() + batch_size - 1) / batch_size;
-    EXPECT_EQ(report.batches, want_batches);
-    std::size_t want_exceptions = 0;
-    for (const Diagnosis& d : expected)
-      if (d.is_exception) ++want_exceptions;
-    EXPECT_EQ(report.exceptions, want_exceptions);
+void expect_same_diagnosis(const Diagnosis& got, const Diagnosis& want,
+                           std::size_t state, std::size_t threads) {
+  ASSERT_EQ(got.weights, want.weights)
+      << "state " << state << " at " << threads << " threads";
+  EXPECT_EQ(got.residual, want.residual);
+  EXPECT_EQ(got.exception_score, want.exception_score);
+  EXPECT_EQ(got.is_exception, want.is_exception);
+  ASSERT_EQ(got.ranked.size(), want.ranked.size());
+  for (std::size_t r = 0; r < got.ranked.size(); ++r) {
+    EXPECT_EQ(got.ranked[r].row, want.ranked[r].row);
+    EXPECT_EQ(got.ranked[r].strength, want.ranked[r].strength);
   }
 }
 
-TEST_F(InferenceTest, StreamIsChunkAndThreadInvariant) {
-  Matrix subset(0, 0);
-  for (std::size_t i = 0; i < 40; ++i)
-    subset.append_row(synthetic_.states.row(i));
-  auto weights_with = [&](std::size_t chunk, std::size_t threads) {
-    const std::size_t previous = vn2::core::num_threads();
-    set_num_threads(threads);
-    StreamOptions options;
-    options.batch_size = 16;
-    options.chunk = chunk;
-    std::vector<Vector> collected;
-    diagnose_stream(report_.model, subset, options,
-                    [&](std::size_t, const std::vector<Diagnosis>& batch) {
-                      for (const Diagnosis& d : batch)
-                        collected.push_back(d.weights);
-                    });
-    set_num_threads(previous);
-    return collected;
-  };
-  const std::vector<Vector> baseline = weights_with(1, 1);
-  EXPECT_EQ(baseline, weights_with(64, 1));
-  EXPECT_EQ(baseline, weights_with(3, 4));
-  EXPECT_EQ(baseline, weights_with(16, 8));
-}
+TEST_F(InferenceTest, EngineMatchesSingleStateDiagnoseBitForBit) {
+  const std::size_t previous = num_threads();
+  for (const std::size_t rows : {0ul, 1ul, 63ul, 65ul, 3 * 64ul + 5}) {
+    Matrix subset(0, metrics::kMetricCount);
+    std::vector<Diagnosis> expected;
+    for (std::size_t i = 0; i < rows; ++i) {
+      subset.append_row(synthetic_.states.row(i));
+      expected.push_back(
+          diagnose(report_.model, synthetic_.states.row_vector(i)));
+    }
+    for (const std::size_t threads : {1ul, 2ul, 8ul}) {
+      set_num_threads(threads);
+      const std::vector<Diagnosis> batch =
+          diagnose_batch(report_.model, subset);
+      ASSERT_EQ(batch.size(), rows);
+      for (std::size_t i = 0; i < rows; ++i)
+        expect_same_diagnosis(batch[i], expected[i], i, threads);
 
-TEST_F(InferenceTest, StreamEdgeCases) {
-  // Empty input: no sink calls, an all-zero report.
-  const Matrix empty(0, metrics::kMetricCount);
-  StreamOptions options;
-  bool called = false;
-  const StreamReport report =
-      diagnose_stream(report_.model, empty, options,
-                      [&](std::size_t, const std::vector<Diagnosis>&) {
-                        called = true;
-                      });
-  EXPECT_FALSE(called);
-  EXPECT_EQ(report.states, 0u);
-  EXPECT_EQ(report.batches, 0u);
-  EXPECT_EQ(report.exceptions, 0u);
-
-  // A null sink is allowed: the stream still diagnoses and reports.
-  Matrix one(0, 0);
-  one.append_row(synthetic_.states.row(0));
-  const StreamReport counted =
-      diagnose_stream(report_.model, one, options, nullptr);
-  EXPECT_EQ(counted.states, 1u);
-  EXPECT_EQ(counted.batches, 1u);
-
-  // Invalid inputs are rejected like diagnose_batch's.
-  EXPECT_THROW(diagnose_stream(Vn2Model{}, one, options, nullptr),
-               std::invalid_argument);
-  StreamOptions zero_batch;
-  zero_batch.batch_size = 0;
-  EXPECT_THROW(diagnose_stream(report_.model, one, zero_batch, nullptr),
-               std::invalid_argument);
-  StreamOptions zero_chunk;
-  zero_chunk.chunk = 0;
-  EXPECT_THROW(diagnose_stream(report_.model, one, zero_chunk, nullptr),
-               std::invalid_argument);
+      const Matrix w = correlation_strengths(report_.model, subset);
+      ASSERT_EQ(w.rows(), rows);
+      ASSERT_EQ(w.cols(), report_.model.rank());
+      for (std::size_t i = 0; i < rows; ++i)
+        for (std::size_t r = 0; r < w.cols(); ++r)
+          ASSERT_EQ(w(i, r), expected[i].weights[r])
+              << "state " << i << " weight " << r << " at " << threads
+              << " threads, " << rows << " rows";
+    }
+  }
+  set_num_threads(previous);
 }
 
 TEST_F(InferenceTest, StrengthFloorFiltersWeakCauses) {

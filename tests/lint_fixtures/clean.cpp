@@ -13,7 +13,7 @@ struct NoCopy {
   NoCopy& operator=(const NoCopy&) = delete;  // ditto
 };
 
-void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
+void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body);
 
 std::string lint_bait() {
@@ -23,7 +23,7 @@ std::string lint_bait() {
   std::vector<double> out(8);
   double scale = 2.0;  // written before, not inside, the parallel body
   scale *= 2.0;
-  parallel_for(0, out.size(), 1, [&](std::size_t i) {
+  parallel_for(0, out.size(), [&](std::size_t i) {
     double local = scale;  // body-local writes are fine
     local += 1.0;
     out[i] = local;  // index-owned slot: the sanctioned pattern

@@ -6,7 +6,7 @@
 namespace vn2::core {
 
 void accumulate(std::vector<double>& out, std::mutex& m, double* sum) {
-  parallel_for(0, out.size(), 64, [&](std::size_t i) {
+  parallel_for(0, out.size(), [&](std::size_t i) {
     std::lock_guard<std::mutex> guard(m);  // fires: lock in the body
     *sum += out[i];
   });

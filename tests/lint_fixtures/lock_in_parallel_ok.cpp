@@ -8,7 +8,7 @@ namespace vn2::core {
 
 void accumulate(std::vector<double>& out, std::mutex& m) {
   std::lock_guard<std::mutex> guard(m);  // outside the lambda: fine
-  parallel_for(0, out.size(), 64,
+  parallel_for(0, out.size(),
                [&out](std::size_t i) { out[i] += 1.0; });
 }
 

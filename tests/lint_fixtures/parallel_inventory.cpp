@@ -4,8 +4,8 @@
 // overload leaves this fixture clean.
 #include <cstddef>
 
-void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
+void parallel_for(std::size_t begin, std::size_t end,
                   void (*body)(std::size_t));
 void bump(std::size_t i);
 
-void sweep() { parallel_for(0, 64, 1, &bump); }
+void sweep() { parallel_for(0, 64, &bump); }

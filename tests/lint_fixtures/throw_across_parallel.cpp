@@ -6,7 +6,7 @@
 namespace vn2::core {
 
 void risky(std::vector<double>& out) {
-  parallel_for(0, out.size(), 64, [&out](std::size_t i) {
+  parallel_for(0, out.size(), [&out](std::size_t i) {
     if (out[i] < 0.0) throw std::runtime_error("negative input");  // fires
     out[i] = 1.0;
   });

@@ -8,7 +8,7 @@ namespace vn2::core {
 
 void safe(std::vector<double>& out) {
   if (out.empty()) throw std::invalid_argument("safe: empty input");  // fine
-  parallel_for(0, out.size(), 64,
+  parallel_for(0, out.size(),
                [&out](std::size_t i) { out[i] = 1.0; });
 }
 

@@ -453,7 +453,7 @@ TEST(Lint, ThrowBeforeParallelRegionIsClean) {
 TEST(Lint, NewRulesHonorSuppressionComments) {
   const std::string content =
       "void f(std::vector<double>& out) {\n"
-      "  parallel_for(0, out.size(), 1, [&out](std::size_t i) {\n"
+      "  parallel_for(0, out.size(), [&out](std::size_t i) {\n"
       "    throw 1;  // vn2-lint: allow(throw-across-parallel)\n"
       "    out[i] = 0.0;\n"
       "  });\n"

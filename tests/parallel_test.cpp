@@ -1,4 +1,4 @@
-// The parallel execution layer: index coverage under adversarial grains,
+// The parallel execution layer: index coverage over range sizes and offsets,
 // bit-identical results across thread counts for every parallelized hot
 // path (matmul, rank_sweep, diagnose_batch), and clean pool shutdown when
 // a task throws.
@@ -42,26 +42,22 @@ TEST_F(ParallelTest, SetNumThreadsRoundTrips) {
 }
 
 TEST_F(ParallelTest, CoversEveryIndexExactlyOnceUnderAdversarialGrains) {
-  const std::size_t grains[] = {0, 1, 2, 3, 7, 64, 1u << 20};
   const std::size_t sizes[] = {0, 1, 2, 13, 100, 1017};
   const std::size_t begins[] = {0, 5};
   for (std::size_t threads : {1u, 2u, 5u}) {
     set_num_threads(threads);
-    for (std::size_t grain : grains) {
-      for (std::size_t n : sizes) {
-        for (std::size_t begin : begins) {
-          std::vector<std::atomic<int>> counts(begin + n);
-          for (auto& c : counts) c.store(0);
-          parallel_for(begin, begin + n, grain, [&](std::size_t i) {
-            counts.at(i).fetch_add(1);
-          });
-          for (std::size_t i = 0; i < begin; ++i)
-            ASSERT_EQ(counts[i].load(), 0)
-                << "i=" << i << " grain=" << grain << " threads=" << threads;
-          for (std::size_t i = begin; i < begin + n; ++i)
-            ASSERT_EQ(counts[i].load(), 1)
-                << "i=" << i << " grain=" << grain << " threads=" << threads;
-        }
+    for (std::size_t n : sizes) {
+      for (std::size_t begin : begins) {
+        std::vector<std::atomic<int>> counts(begin + n);
+        for (auto& c : counts) c.store(0);
+        parallel_for(begin, begin + n,
+                     [&](std::size_t i) { counts.at(i).fetch_add(1); });
+        for (std::size_t i = 0; i < begin; ++i)
+          ASSERT_EQ(counts[i].load(), 0)
+              << "i=" << i << " n=" << n << " threads=" << threads;
+        for (std::size_t i = begin; i < begin + n; ++i)
+          ASSERT_EQ(counts[i].load(), 1)
+              << "i=" << i << " n=" << n << " threads=" << threads;
       }
     }
   }
@@ -70,7 +66,7 @@ TEST_F(ParallelTest, CoversEveryIndexExactlyOnceUnderAdversarialGrains) {
 TEST_F(ParallelTest, OneThreadRunsOnTheCallingThread) {
   set_num_threads(1);
   const std::thread::id caller = std::this_thread::get_id();
-  parallel_for(0, 64, 1, [&](std::size_t) {
+  parallel_for(0, 64, [&](std::size_t) {
     EXPECT_EQ(std::this_thread::get_id(), caller);
   });
 }
@@ -79,9 +75,9 @@ TEST_F(ParallelTest, NestedParallelForRunsInlineInTheOuterTask) {
   set_num_threads(4);
   std::vector<std::atomic<int>> counts(32 * 8);
   for (auto& c : counts) c.store(0);
-  parallel_for(0, 8, 1, [&](std::size_t outer) {
+  parallel_for(0, 8, [&](std::size_t outer) {
     const std::thread::id outer_thread = std::this_thread::get_id();
-    parallel_for(0, 32, 1, [&](std::size_t inner) {
+    parallel_for(0, 32, [&](std::size_t inner) {
       // No nested fan-out: the inner loop must stay on the outer task's
       // thread (workers inline, and the caller-thread path has the whole
       // pool busy only with outer chunks).
@@ -107,7 +103,7 @@ TEST_F(ParallelTest, ThreadPoolRunIsReusable) {
 
 TEST_F(ParallelTest, ThrowingTaskPropagatesAndPoolStaysUsable) {
   set_num_threads(4);
-  EXPECT_THROW(parallel_for(0, 1000, 1,
+  EXPECT_THROW(parallel_for(0, 1000,
                             [&](std::size_t i) {
                               if (i == 137)
                                 throw std::runtime_error("boom at 137");
@@ -116,7 +112,7 @@ TEST_F(ParallelTest, ThrowingTaskPropagatesAndPoolStaysUsable) {
   // The pool must have drained cleanly and still schedule new work.
   std::vector<std::atomic<int>> counts(500);
   for (auto& c : counts) c.store(0);
-  parallel_for(0, counts.size(), 1,
+  parallel_for(0, counts.size(),
                [&](std::size_t i) { counts[i].fetch_add(1); });
   for (auto& c : counts) ASSERT_EQ(c.load(), 1);
 }

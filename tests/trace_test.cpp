@@ -7,6 +7,7 @@
 
 #include "scenario/scenario.hpp"
 #include "trace/csv.hpp"
+#include "trace/stats.hpp"
 
 namespace vn2::trace {
 namespace {
@@ -161,6 +162,29 @@ TEST(Prr, SeriesAndOverall) {
   EXPECT_EQ(series[0].received, 5u);
   EXPECT_DOUBLE_EQ(series[0].prr(), 1.0);
   EXPECT_DOUBLE_EQ(series[1].prr(), 0.0);
+}
+
+TEST(Prr, CountsDistinctOriginatedReportsOnly) {
+  wsn::SimulationResult result;
+  result.duration = 100.0;
+  result.node_count = 4;
+  for (const wsn::NodeId node : {1u, 2u})
+    for (const std::uint64_t epoch : {0u, 1u})
+      result.originations.push_back({0.0, node, epoch, PacketType::kC1});
+  // Node 1's epoch-0 report arrives three times (a routing loop), node 2's
+  // epoch-1 report once; node 3 never originated the report it delivered.
+  for (int copy = 0; copy < 3; ++copy)
+    result.sink_log.push_back(make_record(1, 0, PacketType::kC1, 0.0));
+  result.sink_log.push_back(make_record(2, 1, PacketType::kC1, 0.0));
+  result.sink_log.push_back(make_record(3, 0, PacketType::kC1, 0.0));
+
+  EXPECT_DOUBLE_EQ(overall_prr(result), 0.5);
+  const NetworkStats stats = compute_stats(result, build_trace(result));
+  EXPECT_EQ(stats.overall_prr, overall_prr(result));
+  ASSERT_NE(stats.find(1), nullptr);
+  ASSERT_NE(stats.find(2), nullptr);
+  EXPECT_DOUBLE_EQ(stats.find(1)->prr, 0.5);
+  EXPECT_DOUBLE_EQ(stats.find(2)->prr, 0.5);
 }
 
 TEST(Prr, EmptyInputs) {

@@ -13,7 +13,6 @@
 // through `train`/`diagnose` unchanged.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -60,10 +59,10 @@ struct Args {
   }
 };
 
-Args parse_args(int argc, char** argv, int first) {
+Args parse_args(const std::vector<std::string>& tokens) {
   Args args;
-  for (int i = first; i < argc; ++i) {
-    std::string token = argv[i];
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    std::string token = tokens[i];
     if (token.rfind("--", 0) != 0) {
       // Bare tokens are positionals (currently only `profile --diff`
       // consumes them); each command rejects the ones it has no use for.
@@ -71,13 +70,19 @@ Args parse_args(int argc, char** argv, int first) {
       continue;
     }
     token = token.substr(2);
-    if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      args.options[token] = argv[++i];
+    if (i + 1 < tokens.size() && tokens[i + 1].rfind("--", 0) != 0) {
+      args.options[token] = tokens[++i];
     } else {
       args.flags[token] = true;
     }
   }
   return args;
+}
+
+/// The options main() applies before any command runs; usage() lists them.
+bool is_global_option(const std::string& token) {
+  return token == "--threads" || token == "--linalg-backend" ||
+         token == "--telemetry" || token == "--telemetry-trace";
 }
 
 int usage() {
@@ -90,8 +95,6 @@ int usage() {
       "                [--skip-extraction] --out model.vn2\n"
       "  vn2 inspect   --model model.vn2\n"
       "  vn2 diagnose  --model model.vn2 --trace trace.csv [--top K] [--all]\n"
-      "                [--batch-size N]  (stream states through bounded\n"
-      "                 batches of N instead of materializing everything)\n"
       "  vn2 incidents --model model.vn2 --trace trace.csv [--gap seconds]\n"
       "  vn2 silent    --trace trace.csv [--factor F]\n"
       "  vn2 stats     --trace trace.csv\n"
@@ -106,7 +109,7 @@ int usage() {
       "                [--markdown]  (diff two profile snapshots by call-tree\n"
       "                 path; exit 1 when a path regressed past the floors)\n"
       "\n"
-      "global options:\n"
+      "global options (before or after the command):\n"
       "  --threads N   thread budget for analysis/simulation hot paths\n"
       "                (default: hardware concurrency; 1 = fully serial)\n"
       "  --linalg-backend auto|reference|blocked|simd\n"
@@ -219,7 +222,7 @@ int cmd_simulate(const Args& args) {
               kind.c_str(), runs, static_cast<unsigned long long>(seed),
               static_cast<unsigned long long>(seed + runs - 1),
               core::num_threads());
-  core::parallel_for(0, runs, 1, [&](std::size_t run) {
+  core::parallel_for(0, runs, [&](std::size_t run) {
     scenario::ScenarioBundle bundle = make_bundle(seed + run);
     wsn::Simulator sim = bundle.make_simulator();
     const wsn::SimulationResult result = sim.run();
@@ -313,40 +316,6 @@ int cmd_diagnose(const Args& args) {
   const auto states = load_states(trace_path);
   const auto top = static_cast<std::size_t>(args.number("top", 10));
   const bool all = args.flag("all");
-
-  // --batch-size N: the streaming path. States flow through
-  // core::diagnose_stream's bounded queue in batches of N; the sink keeps
-  // only the exceptions' (ε, index) pairs, and the shown ones are
-  // re-explained afterwards. Same ε ranking and output as the batch path,
-  // with memory bounded by the batch instead of the whole trace.
-  if (const auto batch_size =
-          static_cast<std::size_t>(args.number("batch-size", 0));
-      batch_size > 0) {
-    core::StreamOptions stream_options;
-    stream_options.batch_size = batch_size;
-    std::vector<std::pair<double, std::size_t>> found;
-    const core::StreamReport report = core::diagnose_stream(
-        tool.model(), trace::states_matrix(states), stream_options,
-        [&](std::size_t first, const std::vector<core::Diagnosis>& batch) {
-          for (std::size_t i = 0; i < batch.size(); ++i)
-            if (batch[i].is_exception)
-              found.emplace_back(batch[i].exception_score, first + i);
-        });
-    std::sort(found.rbegin(), found.rend());
-    std::size_t shown = 0;
-    for (const auto& [score, index] : found) {
-      if (!all && shown >= top) break;
-      const auto explanation = tool.explain(states[index].delta);
-      std::printf("node %u @ t=%.0fs: %s\n", states[index].node,
-                  states[index].time, explanation.text.c_str());
-      ++shown;
-    }
-    std::printf("\n%zu of %zu states are exceptions (%zu shown, "
-                "%zu batches of %zu)\n",
-                report.exceptions, report.states, shown, report.batches,
-                batch_size);
-    return 0;
-  }
 
   // Rank by ε score; print the top K (or every exception with --all).
   std::vector<std::pair<double, std::size_t>> ranked;
@@ -659,10 +628,17 @@ int cmd_profile(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage();
-  const std::string command = argv[1];
+  // Global options may come before the command (`vn2 --threads 1 diagnose
+  // ...`); every one of them takes a value, so the command is the first
+  // token that is neither a global option nor its value.
+  std::vector<std::string> tokens(argv + 1, argv + argc);
+  std::size_t at = 0;
+  while (at + 1 < tokens.size() && is_global_option(tokens[at])) at += 2;
+  if (at >= tokens.size()) return usage();
+  const std::string command = tokens[at];
+  tokens.erase(tokens.begin() + static_cast<std::ptrdiff_t>(at));
   try {
-    const Args args = parse_args(argc, argv, 2);
+    const Args args = parse_args(tokens);
     // Only `profile --diff` consumes positionals; anywhere else a bare
     // token is a typo worth stopping on.
     if (!args.positional.empty() && command != "profile") {
