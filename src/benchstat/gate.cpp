@@ -48,9 +48,13 @@ bool iqr_disjoint_better(const Metric& base, const Metric& run) {
                               : run.stats.q1 > base.stats.q3;
 }
 
-std::string percent(double fraction) {
+/// A move's size and direction from its worse_delta: "12.5% worse",
+/// "217.4% better".
+std::string change(double worse_delta) {
   char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%+.1f%%", fraction * 100.0);
+  std::snprintf(buffer, sizeof(buffer), "%.1f%% %s",
+                std::fabs(worse_delta) * 100.0,
+                worse_delta < 0.0 ? "better" : "worse");
   return buffer;
 }
 
@@ -154,8 +158,7 @@ std::string render_text(const GateReport& report) {
       case Verdict::kImproved:
       case Verdict::kRegressed:
         out += ": median " + short_number(f.base_median) + " -> " +
-               short_number(f.run_median) + " (" + percent(f.worse_delta) +
-               " worse";
+               short_number(f.run_median) + " (" + change(f.worse_delta);
         out += f.gated ? ", gated)" : ")";
         break;
       case Verdict::kStale:
@@ -196,7 +199,7 @@ std::string render_markdown(const GateReport& report) {
     out += " | ";
     out += numeric ? short_number(f.run_median) : std::string("-");
     out += " | ";
-    out += numeric ? percent(f.worse_delta) : std::string("-");
+    out += numeric ? change(f.worse_delta) : std::string("-");
     out += " | ";
     out += verdict_name(f.verdict);
     out += f.gated && numeric ? " (gated) |\n" : " |\n";
@@ -220,8 +223,8 @@ UpdateResult ratchet_update(const Baseline& old_baseline,
     for (const Finding& f : report.findings) {
       if (f.verdict == Verdict::kRegressed && f.gated) {
         result.reason = "gated regression in " + f.bench + "/" + f.case_name +
-                        "/" + f.metric + " (" + percent(f.worse_delta) +
-                        " worse); fix the regression before refreshing";
+                        "/" + f.metric + " (" + change(f.worse_delta) +
+                        "); fix the regression before refreshing";
         return result;
       }
       if (f.verdict == Verdict::kCheckFailed) {

@@ -1,357 +1,80 @@
 #include "benchstat/record.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cmath>
-#include <cstdio>
 #include <stdexcept>
+
+#include "json/json.hpp"
 
 namespace vn2::benchstat {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// JSON emit helpers.
-
-void append_escaped(std::string& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-std::string quoted(std::string_view text) {
-  std::string out = "\"";
-  append_escaped(out, text);
-  out += '"';
-  return out;
-}
-
-std::string number(double value) {
-  if (!std::isfinite(value)) return "0";  // JSON has no inf/nan.
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
+using json::Value;
 
 // ---------------------------------------------------------------------------
-// A minimal recursive-descent JSON parser. General enough for any record
-// the writers below emit (plus hand-edited baselines); strict: trailing
-// garbage, unterminated literals, and bad escapes all throw.
+// Value -> struct. An absent or null field reads as its fallback (null is
+// how the writer spells a non-finite number); any other mistyped or
+// inexact value throws json::Error with its offset.
 
-struct Value {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double num = 0.0;
-  std::string str;
-  std::vector<Value> items;                             // kArray
-  std::vector<std::pair<std::string, Value>> members;  // kObject
-
-  [[nodiscard]] const Value* get(std::string_view key) const {
-    for (const auto& [k, v] : members)
-      if (k == key) return &v;
-    return nullptr;
-  }
-};
-
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  Value parse_document() {
-    Value v = parse_value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing garbage after document");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::runtime_error("benchstat: parse error at offset " +
-                             std::to_string(pos_) + ": " + what);
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r'))
-      ++pos_;
-  }
-
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  Value parse_value() {
-    skip_ws();
-    switch (peek()) {
-      case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
-      case '"':
-        return parse_string();
-      case 't':
-      case 'f':
-        return parse_bool();
-      case 'n':
-        return parse_null();
-      default:
-        return parse_number();
-    }
-  }
-
-  Value parse_object() {
-    Value v;
-    v.kind = Value::Kind::kObject;
-    expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      skip_ws();
-      Value key = parse_string();
-      skip_ws();
-      expect(':');
-      v.members.emplace_back(std::move(key.str), parse_value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return v;
-    }
-  }
-
-  Value parse_array() {
-    Value v;
-    v.kind = Value::Kind::kArray;
-    expect('[');
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.items.push_back(parse_value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return v;
-    }
-  }
-
-  Value parse_string() {
-    Value v;
-    v.kind = Value::Kind::kString;
-    expect('"');
-    while (true) {
-      const char c = peek();
-      ++pos_;
-      if (c == '"') return v;
-      if (c != '\\') {
-        v.str += c;
-        continue;
-      }
-      const char esc = peek();
-      ++pos_;
-      switch (esc) {
-        case 'n':
-          v.str += '\n';
-          break;
-        case 't':
-          v.str += '\t';
-          break;
-        case 'r':
-          v.str += '\r';
-          break;
-        case 'b':
-          v.str += '\b';
-          break;
-        case 'f':
-          v.str += '\f';
-          break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("short \\u escape");
-          unsigned code = 0;
-          if (std::sscanf(std::string(text_.substr(pos_, 4)).c_str(), "%4x",
-                          &code) != 1)
-            fail("bad \\u escape");
-          pos_ += 4;
-          // Records only escape control characters, so a single byte
-          // suffices; anything above is preserved as-is by the writer.
-          v.str += static_cast<char>(code);
-          break;
-        }
-        default:
-          v.str += esc;  // Covers \" \\ \/.
-      }
-    }
-  }
-
-  Value parse_bool() {
-    Value v;
-    v.kind = Value::Kind::kBool;
-    if (text_.substr(pos_, 4) == "true") {
-      v.boolean = true;
-      pos_ += 4;
-    } else if (text_.substr(pos_, 5) == "false") {
-      v.boolean = false;
-      pos_ += 5;
-    } else {
-      fail("bad literal");
-    }
-    return v;
-  }
-
-  Value parse_null() {
-    if (text_.substr(pos_, 4) != "null") fail("bad literal");
-    pos_ += 4;
-    return Value{};
-  }
-
-  Value parse_number() {
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E'))
-      ++pos_;
-    if (pos_ == start) fail("expected a value");
-    Value v;
-    v.kind = Value::Kind::kNumber;
-    try {
-      v.num = std::stod(std::string(text_.substr(start, pos_ - start)));
-    } catch (const std::exception&) {
-      fail("bad number");
-    }
-    return v;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-/// Compact re-serialization, used to preserve the opaque telemetry
-/// subtree through a parse → write round trip.
-void serialize_compact(const Value& v, std::string& out) {
-  switch (v.kind) {
-    case Value::Kind::kNull:
-      out += "null";
-      break;
-    case Value::Kind::kBool:
-      out += v.boolean ? "true" : "false";
-      break;
-    case Value::Kind::kNumber:
-      out += number(v.num);
-      break;
-    case Value::Kind::kString:
-      out += quoted(v.str);
-      break;
-    case Value::Kind::kArray:
-      out += '[';
-      for (std::size_t i = 0; i < v.items.size(); ++i) {
-        if (i != 0) out += ',';
-        serialize_compact(v.items[i], out);
-      }
-      out += ']';
-      break;
-    case Value::Kind::kObject:
-      out += '{';
-      for (std::size_t i = 0; i < v.members.size(); ++i) {
-        if (i != 0) out += ',';
-        out += quoted(v.members[i].first);
-        out += ':';
-        serialize_compact(v.members[i].second, out);
-      }
-      out += '}';
-      break;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Value → struct extraction, with required/optional field accessors.
-
-[[noreturn]] void missing(std::string_view context, std::string_view key) {
-  throw std::runtime_error("benchstat: " + std::string(context) +
-                           ": missing field '" + std::string(key) + "'");
-}
-
-const Value& require(const Value& object, std::string_view context,
-                     std::string_view key) {
-  const Value* v = object.get(key);
-  if (v == nullptr) missing(context, key);
-  return *v;
+const Value* field(const Value& object, std::string_view key) {
+  const Value* value = object.find(key);
+  return value == nullptr || value->is_null() ? nullptr : value;
 }
 
 std::string opt_string(const Value& object, std::string_view key,
                        std::string fallback = "") {
-  const Value* v = object.get(key);
-  return v != nullptr && v->kind == Value::Kind::kString ? v->str
-                                                         : std::move(fallback);
+  const Value* value = field(object, key);
+  return value != nullptr ? value->as_string() : std::move(fallback);
 }
 
 double opt_number(const Value& object, std::string_view key,
                   double fallback = 0.0) {
-  const Value* v = object.get(key);
-  return v != nullptr && v->kind == Value::Kind::kNumber ? v->num : fallback;
+  const Value* value = field(object, key);
+  return value != nullptr ? value->as_double() : fallback;
 }
 
-std::uint64_t opt_u64(const Value& object, std::string_view key,
-                      std::uint64_t fallback = 0) {
-  return static_cast<std::uint64_t>(
-      opt_number(object, key, static_cast<double>(fallback)));
+double number_or_zero(const Value& value) {
+  return value.is_null() ? 0.0 : value.as_double();
+}
+
+std::uint64_t opt_u64(const Value& object, std::string_view key) {
+  const Value* value = field(object, key);
+  return value != nullptr ? value->as_u64() : 0;
 }
 
 bool opt_bool(const Value& object, std::string_view key, bool fallback) {
-  const Value* v = object.get(key);
-  return v != nullptr && v->kind == Value::Kind::kBool ? v->boolean : fallback;
+  const Value* value = field(object, key);
+  return value != nullptr ? value->as_bool() : fallback;
+}
+
+/// Every element of the array `key`, or none when it is absent or null.
+const std::vector<Value>& opt_items(const Value& object,
+                                    std::string_view key) {
+  static const std::vector<Value> kNone;
+  const Value* value = field(object, key);
+  return value != nullptr ? value->items() : kNone;
+}
+
+/// Reads schema_version, rejecting versions newer than this reader.
+std::int64_t schema_version(const Value& object, const char* what) {
+  const std::uint64_t version = object.at("schema_version").as_u64();
+  if (version > static_cast<std::uint64_t>(kSchemaVersion))
+    throw std::runtime_error("benchstat: " + std::string(what) +
+                             " schema_version " + std::to_string(version) +
+                             " is newer than this tool understands (" +
+                             std::to_string(kSchemaVersion) + ")");
+  return static_cast<std::int64_t>(version);
 }
 
 Metric metric_from_value(const Value& v) {
   Metric metric;
-  metric.name = require(v, "metric", "name").str;
+  metric.name = v.at("name").as_string();
   metric.unit = opt_string(v, "unit", "s");
   metric.lower_is_better = opt_bool(v, "lower_is_better", true);
   metric.gated = opt_bool(v, "gated", false);
-  if (const Value* samples = v.get("samples"); samples != nullptr) {
-    for (const Value& s : samples->items) metric.samples.push_back(s.num);
-  }
-  if (v.get("median") != nullptr) {
+  for (const Value& s : opt_items(v, "samples"))
+    metric.samples.push_back(number_or_zero(s));
+  if (v.find("median") != nullptr) {
     metric.stats.median = opt_number(v, "median");
     metric.stats.min = opt_number(v, "min");
     metric.stats.max = opt_number(v, "max");
@@ -367,26 +90,17 @@ Metric metric_from_value(const Value& v) {
 }
 
 Record record_from_value(const Value& v) {
-  if (v.kind != Value::Kind::kObject)
-    throw std::runtime_error("benchstat: record is not a JSON object");
   Record record;
-  record.schema_version = static_cast<std::int64_t>(
-      require(v, "record", "schema_version").num);
-  if (record.schema_version > kSchemaVersion)
-    throw std::runtime_error(
-        "benchstat: record schema_version " +
-        std::to_string(record.schema_version) +
-        " is newer than this tool understands (" +
-        std::to_string(kSchemaVersion) + ")");
-  record.bench = require(v, "record", "bench").str;
+  record.schema_version = schema_version(v, "record");
+  record.bench = v.at("bench").as_string();
   record.workload = opt_string(v, "workload");
-  if (const Value* prov = v.get("provenance"); prov != nullptr) {
+  if (const Value* prov = field(v, "provenance"); prov != nullptr) {
     record.provenance.git_sha = opt_string(*prov, "git_sha", "unknown");
     record.provenance.timestamp = opt_string(*prov, "timestamp");
     record.provenance.bench_days = opt_number(*prov, "bench_days");
     record.provenance.reps = opt_u64(*prov, "reps");
   }
-  if (const Value* env = v.get("environment"); env != nullptr) {
+  if (const Value* env = field(v, "environment"); env != nullptr) {
     record.environment.cpu_features = opt_string(*env, "cpu_features");
     record.environment.hardware_concurrency =
         opt_u64(*env, "hardware_concurrency");
@@ -394,37 +108,30 @@ Record record_from_value(const Value& v) {
     record.environment.telemetry_compiled =
         opt_bool(*env, "telemetry_compiled", true);
   }
-  if (const Value* scale = v.get("scale"); scale != nullptr) {
-    for (const auto& [name, value] : scale->members)
-      record.scale.emplace_back(name, value.num);
-  }
-  if (const Value* cases = v.get("cases"); cases != nullptr) {
-    for (const Value& c : cases->items) {
-      Case parsed;
-      parsed.name = require(c, "case", "name").str;
-      if (const Value* metrics = c.get("metrics"); metrics != nullptr)
-        for (const Value& m : metrics->items)
-          parsed.metrics.push_back(metric_from_value(m));
-      // Optional: cases written before per-case sampling existed parse
-      // with resources.sampled == false.
-      if (const Value* res = c.get("resources"); res != nullptr) {
-        parsed.resources.sampled = opt_bool(*res, "sampled", false);
-        parsed.resources.peak_rss_bytes = opt_u64(*res, "peak_rss_bytes");
-        parsed.resources.interval_ms = opt_u64(*res, "interval_ms");
-        if (const Value* series = res->get("rss_series"); series != nullptr)
-          for (const Value& p : series->items)
-            parsed.resources.rss_series.push_back(
-                RssPoint{opt_u64(p, "offset_ms"), opt_u64(p, "bytes")});
-      }
-      record.cases.push_back(std::move(parsed));
+  if (const Value* scale = field(v, "scale"); scale != nullptr)
+    for (const auto& [name, value] : scale->members())
+      record.scale.emplace_back(name, number_or_zero(value));
+  for (const Value& c : opt_items(v, "cases")) {
+    Case parsed;
+    parsed.name = c.at("name").as_string();
+    for (const Value& m : opt_items(c, "metrics"))
+      parsed.metrics.push_back(metric_from_value(m));
+    // Optional: cases written before per-case sampling existed parse
+    // with resources.sampled == false.
+    if (const Value* res = field(c, "resources"); res != nullptr) {
+      parsed.resources.sampled = opt_bool(*res, "sampled", false);
+      parsed.resources.peak_rss_bytes = opt_u64(*res, "peak_rss_bytes");
+      parsed.resources.interval_ms = opt_u64(*res, "interval_ms");
+      for (const Value& p : opt_items(*res, "rss_series"))
+        parsed.resources.rss_series.push_back(
+            RssPoint{opt_u64(p, "offset_ms"), opt_u64(p, "bytes")});
     }
+    record.cases.push_back(std::move(parsed));
   }
-  if (const Value* checks = v.get("checks"); checks != nullptr) {
-    for (const Value& c : checks->items)
-      record.checks.push_back(Check{require(c, "check", "name").str,
-                                    opt_bool(c, "pass", false)});
-  }
-  if (const Value* res = v.get("resources"); res != nullptr) {
+  for (const Value& c : opt_items(v, "checks"))
+    record.checks.push_back(
+        Check{c.at("name").as_string(), opt_bool(c, "pass", false)});
+  if (const Value* res = field(v, "resources"); res != nullptr) {
     record.resources.peak_rss_bytes = opt_u64(*res, "peak_rss_bytes");
     record.resources.current_rss_bytes = opt_u64(*res, "current_rss_bytes");
     record.resources.cpu_user_ns = opt_u64(*res, "cpu_user_ns");
@@ -432,114 +139,88 @@ Record record_from_value(const Value& v) {
     record.resources.alloc_count = opt_u64(*res, "alloc_count");
     record.resources.alloc_bytes = opt_u64(*res, "alloc_bytes");
   }
-  if (const Value* telem = v.get("telemetry"); telem != nullptr)
-    serialize_compact(*telem, record.telemetry_json);
+  // The embedded telemetry subtree stays opaque: compact, with its key
+  // order and number text exactly as read.
+  if (const Value* telem = v.find("telemetry"); telem != nullptr)
+    record.telemetry_json = json::dump(*telem);
   return record;
 }
 
-void append_metric(std::string& out, const Metric& metric,
-                   const char* indent) {
-  out += indent;
-  out += "{\"name\": " + quoted(metric.name) +
-         ", \"unit\": " + quoted(metric.unit) + ",\n";
-  out += indent;
-  out += " \"lower_is_better\": ";
-  out += metric.lower_is_better ? "true" : "false";
-  out += ", \"gated\": ";
-  out += metric.gated ? "true" : "false";
-  out += ",\n";
-  out += indent;
-  out += " \"samples\": [";
-  for (std::size_t i = 0; i < metric.samples.size(); ++i) {
-    if (i != 0) out += ", ";
-    out += number(metric.samples[i]);
-  }
-  out += "],\n";
-  out += indent;
-  out += " \"median\": " + number(metric.stats.median) +
-         ", \"min\": " + number(metric.stats.min) +
-         ", \"max\": " + number(metric.stats.max) +
-         ", \"q1\": " + number(metric.stats.q1) +
-         ", \"q3\": " + number(metric.stats.q3) + "}";
+// ---------------------------------------------------------------------------
+// Struct -> Value.
+
+Value metric_value(const Metric& metric) {
+  Value samples = Value::array();
+  for (const double s : metric.samples) samples.push_back(s);
+  return Value::object({{"name", metric.name},
+                        {"unit", metric.unit},
+                        {"lower_is_better", metric.lower_is_better},
+                        {"gated", metric.gated},
+                        {"samples", std::move(samples)},
+                        {"median", metric.stats.median},
+                        {"min", metric.stats.min},
+                        {"max", metric.stats.max},
+                        {"q1", metric.stats.q1},
+                        {"q3", metric.stats.q3}});
 }
 
-void append_record(std::string& out, const Record& record,
-                   const std::string& base_indent) {
-  const std::string i1 = base_indent + "  ";
-  const std::string i2 = base_indent + "    ";
-  const std::string i3 = base_indent + "      ";
-  out += base_indent + "{\n";
-  out += i1 + "\"schema_version\": " + std::to_string(record.schema_version) +
-         ",\n";
-  out += i1 + "\"bench\": " + quoted(record.bench) + ",\n";
-  out += i1 + "\"workload\": " + quoted(record.workload) + ",\n";
-  out += i1 + "\"provenance\": {\"git_sha\": " +
-         quoted(record.provenance.git_sha) +
-         ", \"timestamp\": " + quoted(record.provenance.timestamp) +
-         ", \"bench_days\": " + number(record.provenance.bench_days) +
-         ", \"reps\": " + std::to_string(record.provenance.reps) + "},\n";
-  out += i1 + "\"environment\": {\"cpu_features\": " +
-         quoted(record.environment.cpu_features) +
-         ", \"hardware_concurrency\": " +
-         std::to_string(record.environment.hardware_concurrency) +
-         ", \"threads\": " + std::to_string(record.environment.threads) +
-         ", \"telemetry_compiled\": ";
-  out += record.environment.telemetry_compiled ? "true" : "false";
-  out += "},\n";
-  out += i1 + "\"scale\": {";
-  for (std::size_t i = 0; i < record.scale.size(); ++i) {
-    if (i != 0) out += ", ";
-    out += quoted(record.scale[i].first) + ": " + number(record.scale[i].second);
+Value case_value(const Case& c) {
+  Value metrics = Value::array();
+  for (const Metric& metric : c.metrics)
+    metrics.push_back(metric_value(metric));
+  Value out =
+      Value::object({{"name", c.name}, {"metrics", std::move(metrics)}});
+  if (const CaseResources& cr = c.resources; cr.sampled) {
+    Value series = Value::array();
+    for (const RssPoint& p : cr.rss_series)
+      series.push_back(
+          Value::object({{"offset_ms", p.offset_ms}, {"bytes", p.bytes}}));
+    out.set("resources", Value::object({{"sampled", true},
+                                        {"peak_rss_bytes", cr.peak_rss_bytes},
+                                        {"interval_ms", cr.interval_ms},
+                                        {"rss_series", std::move(series)}}));
   }
-  out += "},\n";
-  out += i1 + "\"cases\": [";
-  for (std::size_t c = 0; c < record.cases.size(); ++c) {
-    out += c == 0 ? "\n" : ",\n";
-    out += i2 + "{\"name\": " + quoted(record.cases[c].name) +
-           ", \"metrics\": [";
-    for (std::size_t m = 0; m < record.cases[c].metrics.size(); ++m) {
-      out += m == 0 ? "\n" : ",\n";
-      append_metric(out, record.cases[c].metrics[m], i3.c_str());
-    }
-    out += record.cases[c].metrics.empty() ? "]" : "\n" + i2 + "]";
-    if (const CaseResources& cr = record.cases[c].resources; cr.sampled) {
-      out += ",\n" + i2 +
-             " \"resources\": {\"sampled\": true, \"peak_rss_bytes\": " +
-             std::to_string(cr.peak_rss_bytes) +
-             ", \"interval_ms\": " + std::to_string(cr.interval_ms) +
-             ", \"rss_series\": [";
-      for (std::size_t p = 0; p < cr.rss_series.size(); ++p) {
-        if (p != 0) out += ", ";
-        out += "{\"offset_ms\": " + std::to_string(cr.rss_series[p].offset_ms) +
-               ", \"bytes\": " + std::to_string(cr.rss_series[p].bytes) + "}";
-      }
-      out += "]}";
-    }
-    out += "}";
-  }
-  out += record.cases.empty() ? "],\n" : "\n" + i1 + "],\n";
-  out += i1 + "\"checks\": [";
-  for (std::size_t i = 0; i < record.checks.size(); ++i) {
-    if (i != 0) out += ", ";
-    out += "{\"name\": " + quoted(record.checks[i].name) + ", \"pass\": ";
-    out += record.checks[i].pass ? "true" : "false";
-    out += "}";
-  }
-  out += "],\n";
-  out += i1 + "\"resources\": {\"peak_rss_bytes\": " +
-         std::to_string(record.resources.peak_rss_bytes) +
-         ", \"current_rss_bytes\": " +
-         std::to_string(record.resources.current_rss_bytes) +
-         ", \"cpu_user_ns\": " + std::to_string(record.resources.cpu_user_ns) +
-         ", \"cpu_system_ns\": " +
-         std::to_string(record.resources.cpu_system_ns) +
-         ", \"alloc_count\": " + std::to_string(record.resources.alloc_count) +
-         ", \"alloc_bytes\": " + std::to_string(record.resources.alloc_bytes) +
-         "}";
-  if (!record.telemetry_json.empty()) {
-    out += ",\n" + i1 + "\"telemetry\": " + record.telemetry_json;
-  }
-  out += "\n" + base_indent + "}";
+  return out;
+}
+
+Value record_value(const Record& record) {
+  const Provenance& prov = record.provenance;
+  const Environment& env = record.environment;
+  const Resources& res = record.resources;
+  Value scale = Value::object();
+  for (const auto& [name, value] : record.scale) scale.set(name, value);
+  Value cases = Value::array();
+  for (const Case& c : record.cases) cases.push_back(case_value(c));
+  Value checks = Value::array();
+  for (const Check& check : record.checks)
+    checks.push_back(
+        Value::object({{"name", check.name}, {"pass", check.pass}}));
+  Value out = Value::object();
+  out.set("schema_version", record.schema_version)
+      .set("bench", record.bench)
+      .set("workload", record.workload)
+      .set("provenance", Value::object({{"git_sha", prov.git_sha},
+                                        {"timestamp", prov.timestamp},
+                                        {"bench_days", prov.bench_days},
+                                        {"reps", prov.reps}}))
+      .set("environment",
+           Value::object({{"cpu_features", env.cpu_features},
+                          {"hardware_concurrency", env.hardware_concurrency},
+                          {"threads", env.threads},
+                          {"telemetry_compiled", env.telemetry_compiled}}))
+      .set("scale", std::move(scale))
+      .set("cases", std::move(cases))
+      .set("checks", std::move(checks))
+      .set("resources",
+           Value::object({{"peak_rss_bytes", res.peak_rss_bytes},
+                          {"current_rss_bytes", res.current_rss_bytes},
+                          {"cpu_user_ns", res.cpu_user_ns},
+                          {"cpu_system_ns", res.cpu_system_ns},
+                          {"alloc_count", res.alloc_count},
+                          {"alloc_bytes", res.alloc_bytes}}));
+  if (!record.telemetry_json.empty())
+    out.set("telemetry", json::parse(record.telemetry_json));
+  return out;
 }
 
 }  // namespace
@@ -611,44 +292,29 @@ Record* Baseline::find(std::string_view bench) {
 // Serialization entry points.
 
 void write_record(telemetry::Sink& sink, const Record& record) {
-  std::string out;
-  append_record(out, record, "");
-  out += "\n";
-  sink.write(out);
+  sink.write(json::dump_indented(record_value(record)));
 }
 
 Record read_record(std::string_view text) {
-  Parser parser(text);
-  return record_from_value(parser.parse_document());
+  return record_from_value(json::parse(text));
 }
 
 void write_baseline(telemetry::Sink& sink, const Baseline& baseline) {
-  std::string out = "{\n  \"schema_version\": " +
-                    std::to_string(baseline.schema_version) +
-                    ",\n  \"records\": [";
-  for (std::size_t i = 0; i < baseline.records.size(); ++i) {
-    out += i == 0 ? "\n" : ",\n";
-    append_record(out, baseline.records[i], "    ");
-  }
-  out += baseline.records.empty() ? "]\n}\n" : "\n  ]\n}\n";
-  sink.write(out);
+  Value records = Value::array();
+  for (const Record& record : baseline.records)
+    records.push_back(record_value(record));
+  Value document = Value::object();
+  document.set("schema_version", baseline.schema_version)
+      .set("records", std::move(records));
+  sink.write(json::dump_indented(document));
 }
 
 Baseline read_baseline(std::string_view text) {
-  Parser parser(text);
-  const Value document = parser.parse_document();
-  if (document.kind != Value::Kind::kObject)
-    throw std::runtime_error("benchstat: baseline is not a JSON object");
+  const Value document = json::parse(text);
   Baseline baseline;
-  baseline.schema_version = static_cast<std::int64_t>(
-      require(document, "baseline", "schema_version").num);
-  if (baseline.schema_version > kSchemaVersion)
-    throw std::runtime_error("benchstat: baseline schema_version " +
-                             std::to_string(baseline.schema_version) +
-                             " is newer than this tool understands");
-  if (const Value* records = document.get("records"); records != nullptr)
-    for (const Value& r : records->items)
-      baseline.records.push_back(record_from_value(r));
+  baseline.schema_version = schema_version(document, "baseline");
+  for (const Value& r : opt_items(document, "records"))
+    baseline.records.push_back(record_from_value(r));
   return baseline;
 }
 

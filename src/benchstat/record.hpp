@@ -10,8 +10,9 @@
 //
 // Layering mirrors src/telemetry: this library never opens files — all
 // serialization goes through telemetry::Sink, and file handling lives in
-// the tools/bench layer. The parser is a small recursive-descent JSON
-// reader, strict enough to reject malformed records with a clear error.
+// the tools/bench layer. Reading and writing go through the strict JSON
+// codec (json/json.hpp), so a malformed record is rejected with the byte
+// offset of the problem.
 #pragma once
 
 #include <cstdint>
@@ -165,9 +166,10 @@ struct Baseline {
 };
 
 // ---------------------------------------------------------------------------
-// Serialization. Writers emit pretty-printed JSON; readers throw
-// std::runtime_error with a position-annotated message on malformed or
-// version-incompatible input.
+// Serialization. Writers emit indented JSON (non-finite numbers as null);
+// readers throw std::runtime_error (json::Error, with a byte offset, for
+// malformed or mistyped input) on bad or version-incompatible input. An
+// absent or null optional field reads as its default.
 
 void write_record(telemetry::Sink& sink, const Record& record);
 [[nodiscard]] Record read_record(std::string_view text);

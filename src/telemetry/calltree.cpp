@@ -1,6 +1,5 @@
 #include "telemetry/calltree.hpp"
 
-#include <cctype>
 #include <cstdio>
 #include <map>
 #include <stdexcept>
@@ -8,6 +7,7 @@
 #include <utility>
 
 #include "core/contracts.hpp"
+#include "json/json.hpp"
 
 namespace vn2::telemetry {
 
@@ -75,35 +75,6 @@ void render_into(const CallTreeNode& node, std::size_t depth,
     render_into(child, depth + 1, out);
 }
 
-[[noreturn]] void bad_tree(const std::string& what) {
-  throw std::runtime_error("telemetry: call_tree: " + what);
-}
-
-std::size_t skip_spaces(std::string_view text, std::size_t pos) {
-  while (pos < text.size() &&
-         std::isspace(static_cast<unsigned char>(text[pos])) != 0)
-    ++pos;
-  return pos;
-}
-
-std::uint64_t entry_u64(std::string_view entry, std::string_view key) {
-  std::string needle = "\"";
-  needle += key;
-  needle += "\":";
-  const std::size_t at = entry.find(needle);
-  if (at == std::string_view::npos)
-    bad_tree("entry missing field '" + std::string(key) + "'");
-  std::size_t begin = at + needle.size();
-  while (begin < entry.size() && entry[begin] == ' ') ++begin;
-  std::size_t end = begin;
-  while (end < entry.size() &&
-         std::isdigit(static_cast<unsigned char>(entry[end])) != 0)
-    ++end;
-  if (end == begin)
-    bad_tree("field '" + std::string(key) + "' is not a number");
-  return std::stoull(std::string(entry.substr(begin, end - begin)));
-}
-
 }  // namespace
 
 CallTree build_call_tree(const std::vector<SpanStats>& path_stats) {
@@ -151,48 +122,17 @@ std::string render_call_tree(const CallTree& tree) {
 
 std::vector<PathProfile> read_call_tree_json(std::string_view text) {
   VN2_CHECK(!text.empty(), "snapshot text must be non-empty");
-  const std::size_t at = text.find("\"call_tree\"");
-  if (at == std::string_view::npos)
-    bad_tree("no \"call_tree\" section in this snapshot");
-  std::size_t pos = text.find('{', at);
-  if (pos == std::string_view::npos) bad_tree("section is not an object");
-  ++pos;
+  const json::Value document = json::parse(text);
+  const json::Value* tree = document.find("call_tree");
+  if (tree == nullptr)
+    throw std::runtime_error(
+        "telemetry: no \"call_tree\" section in this snapshot");
   std::vector<PathProfile> out;
-  while (true) {
-    pos = skip_spaces(text, pos);
-    if (pos >= text.size()) bad_tree("unterminated section");
-    if (text[pos] == '}') break;
-    if (text[pos] == ',') {
-      ++pos;
-      continue;
-    }
-    if (text[pos] != '"') bad_tree("expected a path key");
-    std::string path;
-    ++pos;
-    while (pos < text.size() && text[pos] != '"') {
-      if (text[pos] == '\\' && pos + 1 < text.size()) ++pos;
-      path += text[pos];
-      ++pos;
-    }
-    if (pos >= text.size()) bad_tree("unterminated path key");
-    pos = skip_spaces(text, pos + 1);
-    if (pos >= text.size() || text[pos] != ':') bad_tree("expected ':'");
-    pos = skip_spaces(text, pos + 1);
-    if (pos >= text.size() || text[pos] != '{')
-      bad_tree("expected an entry object");
-    const std::size_t close = text.find('}', pos);
-    if (close == std::string_view::npos) bad_tree("unterminated entry");
-    const std::string_view entry = text.substr(pos, close - pos + 1);
-    PathProfile profile;
-    profile.path = std::move(path);
-    profile.count = entry_u64(entry, "count");
-    profile.wall_ns = entry_u64(entry, "wall_ns");
-    profile.cpu_ns = entry_u64(entry, "cpu_ns");
-    profile.excl_wall_ns = entry_u64(entry, "excl_wall_ns");
-    profile.excl_cpu_ns = entry_u64(entry, "excl_cpu_ns");
-    out.push_back(std::move(profile));
-    pos = close + 1;
-  }
+  for (const auto& [path, entry] : tree->members())
+    out.push_back({path, entry.at("count").as_u64(),
+                   entry.at("wall_ns").as_u64(), entry.at("cpu_ns").as_u64(),
+                   entry.at("excl_wall_ns").as_u64(),
+                   entry.at("excl_cpu_ns").as_u64()});
   return out;
 }
 

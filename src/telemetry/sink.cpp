@@ -1,425 +1,159 @@
 #include "telemetry/sink.hpp"
 
+#include <algorithm>
 #include <cstdio>
-#include <stdexcept>
+#include <initializer_list>
 #include <string>
 
+#include "json/json.hpp"
 #include "telemetry/calltree.hpp"
 
 namespace vn2::telemetry {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// JSON emit helpers.
+using json::Value;
 
-void append_escaped(std::string& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-std::string quoted(std::string_view text) {
-  std::string out = "\"";
-  append_escaped(out, text);
-  out += '"';
-  return out;
-}
-
-std::string number(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
-
-std::string micros(std::uint64_t ns) {
+/// Nanoseconds as microseconds with exactly three decimals, the
+/// trace_event unit; the literal keeps the nanosecond precision exact.
+Value micros(std::uint64_t ns) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%llu.%03llu",
                 static_cast<unsigned long long>(ns / 1000),
                 static_cast<unsigned long long>(ns % 1000));
-  return buffer;
+  return Value::number(buffer);
 }
 
-// ---------------------------------------------------------------------------
-// JSON read helpers — a deliberately small parser for the two formats
-// this file itself emits (strict enough for round-trip tests, not a
-// general JSON library).
+// Rows shared by the snapshot and json-lines formats: `head` members
+// first, then the fields both formats write.
 
-[[noreturn]] void malformed(const std::string& what) {
-  throw std::runtime_error("telemetry: malformed input: " + what);
+Value resource_row(std::initializer_list<Value::Member> head,
+                   const ResourceUsage& usage) {
+  Value row = Value::object(head);
+  row.set("sampled", usage.sampled)
+      .set("peak_rss_bytes", usage.peak_rss_bytes)
+      .set("current_rss_bytes", usage.current_rss_bytes)
+      .set("cpu_user_ns", usage.cpu_user_ns)
+      .set("cpu_system_ns", usage.cpu_system_ns);
+  return row;
 }
 
-/// Extracts the raw text after `"key":` within `object`.
-std::string_view raw_field(std::string_view object, std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
-  const std::size_t at = object.find(needle);
-  if (at == std::string_view::npos)
-    malformed("missing field " + std::string(key));
-  std::string_view rest = object.substr(at + needle.size());
-  std::size_t end = 0;
-  if (!rest.empty() && rest[0] == '"') {
-    end = 1;
-    while (end < rest.size() && rest[end] != '"') {
-      if (rest[end] == '\\') ++end;
-      ++end;
-    }
-    ++end;
-  } else {
-    while (end < rest.size() && rest[end] != ',' && rest[end] != '}' &&
-           rest[end] != ']')
-      ++end;
-  }
-  return rest.substr(0, end);
+Value histogram_row(std::initializer_list<Value::Member> head,
+                    const HistogramSnapshot& h) {
+  Value row = Value::object(head);
+  row.set("count", h.count)
+      .set("sum", h.sum)
+      .set("min", h.min)
+      .set("max", h.max);
+  return row;
 }
 
-std::string string_field(std::string_view object, std::string_view key) {
-  std::string_view raw = raw_field(object, key);
-  if (raw.size() < 2 || raw.front() != '"') malformed("expected string");
-  raw = raw.substr(1, raw.size() - 2);
-  std::string out;
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    if (raw[i] != '\\') {
-      out += raw[i];
-      continue;
-    }
-    if (++i >= raw.size()) malformed("dangling escape");
-    switch (raw[i]) {
-      case 'n':
-        out += '\n';
-        break;
-      case 't':
-        out += '\t';
-        break;
-      case 'u': {
-        if (i + 4 >= raw.size()) malformed("short \\u escape");
-        out += static_cast<char>(
-            std::stoi(std::string(raw.substr(i + 1, 4)), nullptr, 16));
-        i += 4;
-        break;
-      }
-      default:
-        out += raw[i];
-    }
-  }
-  return out;
-}
-
-double double_field(std::string_view object, std::string_view key) {
-  return std::stod(std::string(raw_field(object, key)));
-}
-
-std::uint64_t u64_field(std::string_view object, std::string_view key) {
-  return std::stoull(std::string(raw_field(object, key)));
-}
-
-/// Like u64_field but tolerates a missing key, for fields added after
-/// the format shipped (readers stay compatible with older captures).
-std::uint64_t u64_field_or(std::string_view object, std::string_view key,
-                           std::uint64_t fallback) {
-  std::string needle = "\"";
-  needle += key;
-  needle += "\":";
-  if (object.find(needle) == std::string_view::npos) return fallback;
-  return u64_field(object, key);
-}
-
-/// String twin of u64_field_or, for the same compatibility reason.
-std::string string_field_or(std::string_view object, std::string_view key,
-                            std::string fallback) {
-  std::string needle = "\"";
-  needle += key;
-  needle += "\":";
-  if (object.find(needle) == std::string_view::npos) return fallback;
-  return string_field(object, key);
-}
-
-std::uint64_t micros_to_ns(double us) {
-  return static_cast<std::uint64_t>(us * 1000.0 + 0.5);
-}
-
-std::string resource_json(const ResourceUsage& usage) {
-  std::string out = "{\"sampled\": ";
-  out += usage.sampled ? "true" : "false";
-  out += ", \"peak_rss_bytes\": " + std::to_string(usage.peak_rss_bytes);
-  out += ", \"current_rss_bytes\": " + std::to_string(usage.current_rss_bytes);
-  out += ", \"cpu_user_ns\": " + std::to_string(usage.cpu_user_ns);
-  out += ", \"cpu_system_ns\": " + std::to_string(usage.cpu_system_ns);
-  out += "}";
-  return out;
+Value span_row(std::initializer_list<Value::Member> head,
+               const SpanStats& s) {
+  Value row = Value::object(head);
+  row.set("count", s.count)
+      .set("total_ns", s.total_ns)
+      .set("min_ns", s.min_ns)
+      .set("max_ns", s.max_ns)
+      .set("total_cpu_ns", s.total_cpu_ns);
+  return row;
 }
 
 }  // namespace
 
-// ---------------------------------------------------------------------------
-// Writers.
-
 void write_json(Sink& sink, const Snapshot& snapshot) {
-  std::string out = "{\n";
-  out += "  \"telemetry_compiled\": ";
-  out += snapshot.compiled_in ? "true" : "false";
-  out += ",\n  \"counters\": {";
-  for (std::size_t i = 0; i < snapshot.counters.size(); ++i) {
-    out += i == 0 ? "\n" : ",\n";
-    out += "    " + quoted(snapshot.counters[i].first) + ": " +
-           std::to_string(snapshot.counters[i].second);
-  }
-  out += snapshot.counters.empty() ? "},\n" : "\n  },\n";
-  out += "  \"gauges\": {";
-  for (std::size_t i = 0; i < snapshot.gauges.size(); ++i) {
-    out += i == 0 ? "\n" : ",\n";
-    out += "    " + quoted(snapshot.gauges[i].first) + ": " +
-           number(snapshot.gauges[i].second);
-  }
-  out += snapshot.gauges.empty() ? "},\n" : "\n  },\n";
-  out += "  \"histograms\": {";
-  for (std::size_t i = 0; i < snapshot.histograms.size(); ++i) {
-    const auto& [name, h] = snapshot.histograms[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "    " + quoted(name) + ": {\"count\": " + std::to_string(h.count) +
-           ", \"sum\": " + std::to_string(h.sum) +
-           ", \"min\": " + std::to_string(h.min) +
-           ", \"max\": " + std::to_string(h.max) +
-           ", \"mean\": " + number(h.mean()) + "}";
-  }
-  out += snapshot.histograms.empty() ? "},\n" : "\n  },\n";
-  out += "  \"spans\": {";
-  for (std::size_t i = 0; i < snapshot.span_stats.size(); ++i) {
-    const SpanStats& s = snapshot.span_stats[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "    " + quoted(s.name) +
-           ": {\"count\": " + std::to_string(s.count) +
-           ", \"total_ns\": " + std::to_string(s.total_ns) +
-           ", \"min_ns\": " + std::to_string(s.min_ns) +
-           ", \"max_ns\": " + std::to_string(s.max_ns) +
-           ", \"total_cpu_ns\": " + std::to_string(s.total_cpu_ns) + "}";
-  }
-  out += snapshot.span_stats.empty() ? "},\n" : "\n  },\n";
+  Value counters = Value::object();
+  for (const auto& [name, value] : snapshot.counters) counters.set(name, value);
+  Value gauges = Value::object();
+  for (const auto& [name, value] : snapshot.gauges) gauges.set(name, value);
+  Value histograms = Value::object();
+  for (const auto& [name, h] : snapshot.histograms)
+    histograms.set(name, histogram_row({}, h).set("mean", h.mean()));
+  Value spans = Value::object();
+  for (const SpanStats& s : snapshot.span_stats)
+    spans.set(s.name, span_row({}, s));
   // The call tree: path-keyed rows in preorder, with exclusive times
   // precomputed so downstream tools (vn2_profdiff) never rebuild the
   // hierarchy to diff it.
-  const std::vector<PathProfile> paths =
-      flatten(build_call_tree(snapshot.path_stats));
-  out += "  \"call_tree\": {";
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    const PathProfile& p = paths[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "    " + quoted(p.path) + ": {\"count\": " +
-           std::to_string(p.count) +
-           ", \"wall_ns\": " + std::to_string(p.wall_ns) +
-           ", \"cpu_ns\": " + std::to_string(p.cpu_ns) +
-           ", \"excl_wall_ns\": " + std::to_string(p.excl_wall_ns) +
-           ", \"excl_cpu_ns\": " + std::to_string(p.excl_cpu_ns) + "}";
-  }
-  out += paths.empty() ? "},\n" : "\n  },\n";
-  out += "  \"resource\": " + resource_json(snapshot.resource) + ",\n";
+  Value call_tree = Value::object();
+  for (const PathProfile& p : flatten(build_call_tree(snapshot.path_stats)))
+    call_tree.set(p.path, Value::object({{"count", p.count},
+                                         {"wall_ns", p.wall_ns},
+                                         {"cpu_ns", p.cpu_ns},
+                                         {"excl_wall_ns", p.excl_wall_ns},
+                                         {"excl_cpu_ns", p.excl_cpu_ns}}));
+  Value document = Value::object();
+  document.set("telemetry_compiled", snapshot.compiled_in)
+      .set("counters", std::move(counters))
+      .set("gauges", std::move(gauges))
+      .set("histograms", std::move(histograms))
+      .set("spans", std::move(spans))
+      .set("call_tree", std::move(call_tree))
+      .set("resource", resource_row({}, snapshot.resource));
   if (!snapshot.resource_series.empty()) {
     // Offsets are relative to the first sample; readable and stable
     // across runs, unlike raw monotonic timestamps.
     const std::uint64_t t0 = snapshot.resource_series.front().t_ns;
-    out += "  \"resource_series\": [";
-    for (std::size_t i = 0; i < snapshot.resource_series.size(); ++i) {
-      const ResourceSample& s = snapshot.resource_series[i];
-      out += i == 0 ? "\n" : ",\n";
-      out += "    {\"t_ms\": " + std::to_string((s.t_ns - t0) / 1000000) +
-             ", \"rss_bytes\": " + std::to_string(s.current_rss_bytes) +
-             ", \"cpu_ns\": " + std::to_string(s.cpu_total_ns) + "}";
-    }
-    out += "\n  ],\n";
+    Value series = Value::array();
+    for (const ResourceSample& s : snapshot.resource_series)
+      series.push_back(Value::object({{"t_ms", (s.t_ns - t0) / 1000000},
+                                      {"rss_bytes", s.current_rss_bytes},
+                                      {"cpu_ns", s.cpu_total_ns}}));
+    document.set("resource_series", std::move(series));
   }
-  out += "  \"spans_dropped\": " + std::to_string(snapshot.spans_dropped) +
-         "\n}\n";
-  sink.write(out);
+  document.set("spans_dropped", snapshot.spans_dropped);
+  sink.write(json::dump_indented(document));
 }
 
 void write_json_lines(Sink& sink, const Snapshot& snapshot) {
   std::string out;
-  out += "{\"type\":\"meta\",\"telemetry_compiled\":";
-  out += snapshot.compiled_in ? "true" : "false";
-  out += ",\"spans_dropped\":" + std::to_string(snapshot.spans_dropped) + "}\n";
-  out += "{\"type\":\"resource\",\"sampled\":";
-  out += snapshot.resource.sampled ? "true" : "false";
-  out += ",\"peak_rss_bytes\":" +
-         std::to_string(snapshot.resource.peak_rss_bytes) +
-         ",\"current_rss_bytes\":" +
-         std::to_string(snapshot.resource.current_rss_bytes) +
-         ",\"cpu_user_ns\":" + std::to_string(snapshot.resource.cpu_user_ns) +
-         ",\"cpu_system_ns\":" +
-         std::to_string(snapshot.resource.cpu_system_ns) + "}\n";
+  const auto line = [&out](const Value& row) {
+    out += json::dump(row);
+    out += '\n';
+  };
+  line(Value::object({{"type", "meta"},
+                      {"telemetry_compiled", snapshot.compiled_in},
+                      {"spans_dropped", snapshot.spans_dropped}}));
+  line(resource_row({{"type", "resource"}}, snapshot.resource));
   for (const auto& [name, value] : snapshot.counters)
-    out += "{\"type\":\"counter\",\"name\":" + quoted(name) +
-           ",\"value\":" + std::to_string(value) + "}\n";
+    line(Value::object(
+        {{"type", "counter"}, {"name", name}, {"value", value}}));
   for (const auto& [name, value] : snapshot.gauges)
-    out += "{\"type\":\"gauge\",\"name\":" + quoted(name) +
-           ",\"value\":" + number(value) + "}\n";
+    line(Value::object(
+        {{"type", "gauge"}, {"name", name}, {"value", value}}));
   for (const auto& [name, h] : snapshot.histograms)
-    out += "{\"type\":\"histogram\",\"name\":" + quoted(name) +
-           ",\"count\":" + std::to_string(h.count) +
-           ",\"sum\":" + std::to_string(h.sum) +
-           ",\"min\":" + std::to_string(h.min) +
-           ",\"max\":" + std::to_string(h.max) + "}\n";
+    line(histogram_row({{"type", "histogram"}, {"name", name}}, h));
   for (const SpanStats& s : snapshot.span_stats)
-    out += "{\"type\":\"span\",\"name\":" + quoted(s.name) +
-           ",\"count\":" + std::to_string(s.count) +
-           ",\"total_ns\":" + std::to_string(s.total_ns) +
-           ",\"min_ns\":" + std::to_string(s.min_ns) +
-           ",\"max_ns\":" + std::to_string(s.max_ns) +
-           ",\"total_cpu_ns\":" + std::to_string(s.total_cpu_ns) + "}\n";
+    line(span_row({{"type", "span"}, {"name", s.name}}, s));
   for (const SpanStats& s : snapshot.path_stats)
-    out += "{\"type\":\"path\",\"path\":" + quoted(s.name) +
-           ",\"count\":" + std::to_string(s.count) +
-           ",\"total_ns\":" + std::to_string(s.total_ns) +
-           ",\"min_ns\":" + std::to_string(s.min_ns) +
-           ",\"max_ns\":" + std::to_string(s.max_ns) +
-           ",\"total_cpu_ns\":" + std::to_string(s.total_cpu_ns) + "}\n";
+    line(span_row({{"type", "path"}, {"path", s.name}}, s));
   sink.write(out);
 }
 
 void write_trace_events(Sink& sink, const Snapshot& snapshot) {
   // Complete events ("ph":"X") with timestamps relative to the earliest
   // span, in microseconds as the format requires; base_ns preserves the
-  // absolute origin so read_trace_events can reconstruct start_ns.
+  // absolute origin.
   std::uint64_t base = ~std::uint64_t{0};
   for (const SpanRecord& span : snapshot.spans)
     base = std::min(base, span.start_ns);
   if (snapshot.spans.empty()) base = 0;
-  std::string out = "{\"base_ns\":" + std::to_string(base) +
-                    ",\"traceEvents\":[";
-  for (std::size_t i = 0; i < snapshot.spans.size(); ++i) {
-    const SpanRecord& span = snapshot.spans[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "{\"name\":" + quoted(span.name) +
-           ",\"ph\":\"X\",\"pid\":0,\"tid\":" + std::to_string(span.thread) +
-           ",\"ts\":" + micros(span.start_ns - base) +
-           ",\"dur\":" + micros(span.duration_ns) +
-           ",\"args\":{\"depth\":" + std::to_string(span.depth) +
-           ",\"cpu_ns\":" + std::to_string(span.cpu_ns);
-    if (!span.path.empty()) out += ",\"path\":" + quoted(span.path);
-    out += "}}";
+  Value events = Value::array();
+  for (const SpanRecord& span : snapshot.spans) {
+    Value args =
+        Value::object({{"depth", span.depth}, {"cpu_ns", span.cpu_ns}});
+    if (!span.path.empty()) args.set("path", span.path);
+    events.push_back(Value::object({{"name", span.name},
+                                    {"ph", "X"},
+                                    {"pid", 0},
+                                    {"tid", span.thread},
+                                    {"ts", micros(span.start_ns - base)},
+                                    {"dur", micros(span.duration_ns)},
+                                    {"args", std::move(args)}}));
   }
-  out += "\n]}\n";
-  sink.write(out);
-}
-
-// ---------------------------------------------------------------------------
-// Readers.
-
-Snapshot read_json_lines(std::string_view text) {
-  Snapshot snapshot;
-  snapshot.compiled_in = false;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t end = text.find('\n', pos);
-    if (end == std::string_view::npos) end = text.size();
-    const std::string_view line = text.substr(pos, end - pos);
-    pos = end + 1;
-    if (line.empty()) continue;
-    if (line.front() != '{' || line.back() != '}')
-      malformed("json-lines record is not an object");
-    const std::string type = string_field(line, "type");
-    if (type == "meta") {
-      snapshot.compiled_in =
-          raw_field(line, "telemetry_compiled") == std::string_view("true");
-      snapshot.spans_dropped = u64_field(line, "spans_dropped");
-    } else if (type == "counter") {
-      snapshot.counters.emplace_back(string_field(line, "name"),
-                                     u64_field(line, "value"));
-    } else if (type == "gauge") {
-      snapshot.gauges.emplace_back(string_field(line, "name"),
-                                   double_field(line, "value"));
-    } else if (type == "histogram") {
-      HistogramSnapshot h;
-      h.count = u64_field(line, "count");
-      h.sum = u64_field(line, "sum");
-      h.min = u64_field(line, "min");
-      h.max = u64_field(line, "max");
-      snapshot.histograms.emplace_back(string_field(line, "name"),
-                                       std::move(h));
-    } else if (type == "span") {
-      SpanStats s;
-      s.name = string_field(line, "name");
-      s.count = u64_field(line, "count");
-      s.total_ns = u64_field(line, "total_ns");
-      s.min_ns = u64_field(line, "min_ns");
-      s.max_ns = u64_field(line, "max_ns");
-      s.total_cpu_ns = u64_field_or(line, "total_cpu_ns", 0);
-      snapshot.span_stats.push_back(std::move(s));
-    } else if (type == "path") {
-      SpanStats s;
-      s.name = string_field(line, "path");
-      s.count = u64_field(line, "count");
-      s.total_ns = u64_field(line, "total_ns");
-      s.min_ns = u64_field(line, "min_ns");
-      s.max_ns = u64_field(line, "max_ns");
-      s.total_cpu_ns = u64_field_or(line, "total_cpu_ns", 0);
-      snapshot.path_stats.push_back(std::move(s));
-    } else if (type == "resource") {
-      snapshot.resource.sampled =
-          raw_field(line, "sampled") == std::string_view("true");
-      snapshot.resource.peak_rss_bytes = u64_field(line, "peak_rss_bytes");
-      snapshot.resource.current_rss_bytes =
-          u64_field(line, "current_rss_bytes");
-      snapshot.resource.cpu_user_ns = u64_field(line, "cpu_user_ns");
-      snapshot.resource.cpu_system_ns = u64_field(line, "cpu_system_ns");
-    } else {
-      malformed("unknown record type '" + type + "'");
-    }
-  }
-  return snapshot;
-}
-
-std::vector<SpanRecord> read_trace_events(std::string_view text) {
-  const std::uint64_t base = u64_field(text, "base_ns");
-  const std::size_t open = text.find("\"traceEvents\":[");
-  if (open == std::string_view::npos) malformed("missing traceEvents");
-  std::vector<SpanRecord> spans;
-  std::size_t pos = open;
-  while (true) {
-    const std::size_t begin = text.find('{', pos);
-    if (begin == std::string_view::npos) break;
-    const std::size_t end = text.find('}', begin);
-    if (end == std::string_view::npos) malformed("unterminated event");
-    // Events end with "}}": the inner args object closes first. Defensive
-    // parser: the subscript is bounds-guarded inline and malformed input
-    // already throws via malformed().
-    // vn2-lint: allow(unchecked-public-entry)
-    const std::size_t close = end + 1 < text.size() && text[end + 1] == '}'
-                                  ? end + 1
-                                  : end;
-    const std::string_view object = text.substr(begin, close - begin + 1);
-    SpanRecord span;
-    span.name = string_field(object, "name");
-    span.start_ns = base + micros_to_ns(double_field(object, "ts"));
-    span.duration_ns = micros_to_ns(double_field(object, "dur"));
-    span.thread = static_cast<std::uint32_t>(u64_field(object, "tid"));
-    span.depth = static_cast<std::uint32_t>(u64_field(object, "depth"));
-    span.cpu_ns = u64_field_or(object, "cpu_ns", 0);
-    span.path = string_field_or(object, "path", "");
-    spans.push_back(std::move(span));
-    pos = close + 1;
-  }
-  return spans;
+  Value document = Value::object();
+  document.set("base_ns", base).set("traceEvents", std::move(events));
+  sink.write(json::dump(document) + "\n");
 }
 
 }  // namespace vn2::telemetry

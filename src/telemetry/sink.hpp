@@ -2,14 +2,15 @@
 // every writer emits through the Sink interface, and the CLI/bench layer
 // owns the actual file handles (vn2-lint io-in-library stays happy).
 //
-// Three formats:
-//  * write_json        — one pretty-printed JSON document (the snapshot
-//                        format behind `vn2 ... --telemetry out.json`).
+// Three formats, all written by the one JSON codec (json/json.hpp):
+//  * write_json        — one indented JSON document (the snapshot format
+//                        behind `vn2 ... --telemetry out.json`).
 //  * write_json_lines  — one self-describing JSON object per line, easy
-//                        to grep/stream; read_json_lines parses it back.
+//                        to grep/stream.
 //  * write_trace_events — chrome://tracing / Perfetto "trace_event"
 //                        JSON with one complete ("ph":"X") event per raw
-//                        span; read_trace_events parses it back.
+//                        span.
+// Non-finite gauges are written as null.
 #pragma once
 
 #include <string>
@@ -39,14 +40,5 @@ class StringSink : public Sink {
 void write_json(Sink& sink, const Snapshot& snapshot);
 void write_json_lines(Sink& sink, const Snapshot& snapshot);
 void write_trace_events(Sink& sink, const Snapshot& snapshot);
-
-/// Parses the output of write_json_lines back into a Snapshot (counters,
-/// gauges, histogram summaries, span stats; raw spans are not part of the
-/// json-lines format). Throws std::runtime_error on malformed input.
-[[nodiscard]] Snapshot read_json_lines(std::string_view text);
-
-/// Parses the output of write_trace_events back into raw span records.
-/// Throws std::runtime_error on malformed input.
-[[nodiscard]] std::vector<SpanRecord> read_trace_events(std::string_view text);
 
 }  // namespace vn2::telemetry

@@ -3,6 +3,8 @@
 // including the shrink-only baseline ratchet.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -209,6 +211,31 @@ TEST(RecordSchema, MalformedInputThrowsWithPosition) {
                std::runtime_error);
 }
 
+TEST(RecordSchema, NonFiniteIsNullAndNullReadsAsTheFallback) {
+  Record record = make_run("nan_bench", {1.0, 1.1});
+  record.cases[0].metrics[0].samples.push_back(std::nan(""));
+  record.provenance.bench_days = std::numeric_limits<double>::infinity();
+  vn2::telemetry::StringSink sink;
+  vn2::benchstat::write_record(sink, record);
+  EXPECT_NE(sink.str().find("\"bench_days\": null"), std::string::npos);
+  const Record parsed = vn2::benchstat::read_record(sink.str());
+  ASSERT_EQ(parsed.cases[0].metrics[0].samples.size(), 3u);
+  EXPECT_EQ(parsed.cases[0].metrics[0].samples[2], 0.0);
+  EXPECT_EQ(parsed.provenance.bench_days, 0.0);
+  // Unsigned fields read exactly: null is the default, a fraction or a
+  // negative is an error instead of a silent truncation.
+  const std::string head = "{\"schema_version\": 1, \"bench\": \"x\", ";
+  EXPECT_EQ(vn2::benchstat::read_record(head + "\"provenance\": "
+                                               "{\"reps\": null}}")
+                .provenance.reps,
+            0u);
+  for (const char* reps : {"1.5", "-1", "1e300", "\"3\""})
+    EXPECT_THROW((void)vn2::benchstat::read_record(
+                     head + "\"provenance\": {\"reps\": " + reps + "}}"),
+                 std::runtime_error)
+        << reps;
+}
+
 TEST(RecordSchema, BaselineEntryWithStatsOnlySurvives) {
   // A hand-maintained baseline entry may carry derived stats without the
   // raw samples; the reader must not destroy them.
@@ -295,6 +322,17 @@ TEST(Gate, SignificantImprovementIsCounted) {
   const GateReport report = compare(as_baseline(base), {run}, GateOptions{});
   EXPECT_FALSE(report.failed());
   EXPECT_EQ(report.improvements, 1u);
+  // The report states an improvement's size and direction: a median that
+  // halved reads "49.8% better", never as a negative worsening.
+  const std::string text = vn2::benchstat::render_text(report);
+  EXPECT_NE(text.find("improved  bench/hot/seconds: median 2.01 -> 1.01 "
+                      "(49.8% better, gated)"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("worse"), std::string::npos) << text;
+  const std::string markdown = vn2::benchstat::render_markdown(report);
+  EXPECT_NE(markdown.find("| 49.8% better |"), std::string::npos) << markdown;
+  EXPECT_EQ(markdown.find('-' + std::string("49.8%")), std::string::npos);
 }
 
 TEST(Gate, StaleBaselineMetricFails) {
@@ -332,6 +370,7 @@ TEST(Gate, RenderTextSummarizesVerdict) {
   const GateReport report = compare(as_baseline(base), {run}, GateOptions{});
   const std::string text = vn2::benchstat::render_text(report);
   EXPECT_NE(text.find("REGRESSED"), std::string::npos);
+  EXPECT_NE(text.find("% worse, gated)"), std::string::npos) << text;
   EXPECT_NE(text.find("FAIL"), std::string::npos);
   const std::string markdown = vn2::benchstat::render_markdown(report);
   EXPECT_NE(markdown.find("| bench |"), std::string::npos);

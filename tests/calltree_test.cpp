@@ -166,6 +166,25 @@ TEST_F(CallTreeTest, SnapshotJsonRoundTripsThroughReader) {
 TEST_F(CallTreeTest, ReaderRejectsDocumentsWithoutCallTree) {
   EXPECT_THROW(read_call_tree_json("{\"spans\": {}}"), std::runtime_error);
   EXPECT_THROW(read_call_tree_json(""), std::invalid_argument);
+  // Entries read exactly, and the snapshot must be one whole document.
+  const std::string entry =
+      "\"wall_ns\": 1, \"cpu_ns\": 1, \"excl_wall_ns\": 1, "
+      "\"excl_cpu_ns\": 1}}}";
+  EXPECT_EQ(read_call_tree_json("{\"call_tree\": {\"a\": {\"count\": 2, " +
+                                entry)
+                .front()
+                .count,
+            2u);
+  for (const char* count : {"1.5", "-1", "1e300", "null"})
+    EXPECT_THROW((void)read_call_tree_json(
+                     std::string("{\"call_tree\": {\"a\": {\"count\": ") +
+                     count + ", " + entry),
+                 std::runtime_error)
+        << count;
+  EXPECT_THROW((void)read_call_tree_json(
+                   "{\"call_tree\": {\"a\": {\"count\": 2, " + entry +
+                   " trailing"),
+               std::runtime_error);
 }
 
 TEST_F(CallTreeTest, RenderShowsIndentedPathsAndHandlesEmpty) {

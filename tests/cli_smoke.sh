@@ -106,6 +106,59 @@ grep -q "incidents from" "$WORK/incidents_t1.txt"
 "$VN2" --telemetry "$WORK/leading.json" stats --trace "$WORK/trace.csv" \
     | grep -q "nodes reporting"
 grep -q '"counters"' "$WORK/leading.json"
+# Every command rejects an option it does not know (exit 2, naming it)
+# instead of silently ignoring a typo or a retired option.
+for OPTS in "--batch-size 16 --threds 4" "--threds 4"; do
+  STATUS=0
+  # shellcheck disable=SC2086
+  "$VN2" diagnose --model "$WORK/model.vn2" --trace "$WORK/trace.csv" \
+      --top 3 $OPTS 2>"$WORK/opt_err.txt" >/dev/null || STATUS=$?
+  if [ "$STATUS" -ne 2 ]; then
+    echo "expected exit 2 for unknown option in '$OPTS', got $STATUS" >&2
+    exit 1
+  fi
+  FIRST=$(echo "$OPTS" | cut -d' ' -f1)
+  grep -q "unknown option '$FIRST'" "$WORK/opt_err.txt"
+done
+# Hostile JSON is a clean input error (exit 2 naming the problem) for
+# every JSON reader: 200,000-deep nesting, an inexact u64 and trailing
+# bytes after the snapshot.
+awk 'BEGIN { for (i = 0; i < 200000; i++) printf "["
+             for (i = 0; i < 200000; i++) printf "]" }' > "$WORK/deep.json"
+printf '{"call_tree": {"a": {"count": 1.5, "wall_ns": 1, "cpu_ns": 1, %s}}}' \
+    '"excl_wall_ns": 1, "excl_cpu_ns": 1' > "$WORK/fraction.json"
+{ cat "$WORK/prof_stdout.json"; echo garbage; } > "$WORK/trailing.json"
+expect_input_error() {
+  WHAT="$1"
+  shift
+  STATUS=0
+  "$@" >/dev/null 2>"$WORK/json_err.txt" || STATUS=$?
+  if [ "$STATUS" -ne 2 ]; then
+    echo "expected exit 2 from $* , got $STATUS" >&2
+    exit 1
+  fi
+  grep -q "$WHAT" "$WORK/json_err.txt"
+}
+TOOLS=$(dirname "$VN2")
+for BAD in deep:"limit of 256" fraction:"unsigned 64-bit" \
+    trailing:"trailing"; do
+  FILE="$WORK/${BAD%%:*}.json"
+  expect_input_error "${BAD#*:}" "$VN2" profile --diff "$FILE" "$FILE"
+  if [ -x "$TOOLS/vn2_profdiff" ]; then
+    expect_input_error "${BAD#*:}" "$TOOLS/vn2_profdiff" "$FILE" "$FILE"
+  fi
+done
+if [ -x "$TOOLS/vn2_benchstat" ]; then
+  expect_input_error "limit of 256" "$TOOLS/vn2_benchstat" \
+      --baseline "$WORK/deep.json" "$WORK/deep.json"
+  expect_input_error "limit of 256" "$TOOLS/vn2_benchstat" \
+      "$WORK/deep.json" "$WORK/deep.json"
+fi
+if [ -x "$TOOLS/vn2_lint" ]; then
+  mkdir -p "$WORK/empty_root"
+  expect_input_error "limit of 256" "$TOOLS/vn2_lint" \
+      --root "$WORK/empty_root" --baseline "$WORK/deep.json"
+fi
 # Error paths exit non-zero.
 if "$VN2" train --trace /nonexistent.csv --out "$WORK/x" 2>/dev/null; then
   echo "expected failure on missing trace" >&2

@@ -1,11 +1,15 @@
-// Fuzz-style robustness tests for the CSV trace reader: a checked-in
-// corpus of malformed inputs (truncated rows, NaN/negative counters,
-// embedded NULs, oversized lines, overflowing numbers) plus seeded random
-// mutations of a valid trace. The contract under test: malformed input is
-// reported with a std::exception, never a crash or UB — CI runs this
-// suite under ASan+UBSan. Inputs that do parse are pushed through
-// extract_states/states_matrix so downstream layers see the hostile data
-// too.
+// Fuzz-style robustness tests for every reader of untrusted text: the CSV
+// trace reader and the JSON readers (the codec itself, bench records and
+// baselines, profile call trees, the lint SARIF baseline). Each gets a
+// checked-in corpus of malformed inputs (truncated rows and documents,
+// NaN/negative counters, embedded NULs, oversized lines, overflowing
+// numbers, 200k-deep nesting, bad escapes, inexact u64 fields, duplicate
+// keys, trailing garbage) plus seeded random mutations of valid input.
+// The contract under test: malformed input is reported with a
+// std::exception (or, for the SARIF reader, nullopt), never a crash or
+// UB — CI runs this suite under ASan+UBSan. Inputs that do parse are
+// pushed through the next layer (state extraction, the bench gate, the
+// call-tree diff) so downstream code sees the hostile data too.
 #include "trace/csv.hpp"
 
 #include <gtest/gtest.h>
@@ -17,6 +21,13 @@
 #include <sstream>
 #include <string>
 
+#include "benchstat/gate.hpp"
+#include "benchstat/record.hpp"
+#include "json/json.hpp"
+#include "lint/sarif.hpp"
+#include "telemetry/calltree.hpp"
+#include "telemetry/profdiff.hpp"
+#include "telemetry/sink.hpp"
 #include "trace/trace.hpp"
 
 namespace vn2::trace {
@@ -104,38 +115,43 @@ std::string valid_trace_csv() {
   return out.str();
 }
 
+/// One to eight random byte edits of `base`: overwrite, delete, insert
+/// or truncate.
+std::string mutate(const std::string& base, std::mt19937_64& rng) {
+  std::uniform_int_distribution<std::size_t> pos(0, base.size() - 1);
+  std::uniform_int_distribution<int> byte(0, 255);
+  std::uniform_int_distribution<int> op(0, 3);
+  std::string mutated = base;
+  const int edits = 1 + static_cast<int>(rng() % 8);
+  for (int e = 0; e < edits; ++e) {
+    const std::size_t at = pos(rng) % mutated.size();
+    switch (op(rng)) {
+      case 0:  // overwrite with an arbitrary byte (NUL included)
+        mutated[at] = static_cast<char>(byte(rng));
+        break;
+      case 1:  // delete one byte
+        mutated.erase(at, 1);
+        break;
+      case 2:  // insert an arbitrary byte
+        mutated.insert(at, 1, static_cast<char>(byte(rng)));
+        break;
+      default:  // truncate mid-structure
+        mutated.resize(at);
+        break;
+    }
+    if (mutated.empty()) break;
+  }
+  return mutated;
+}
+
 TEST(CsvFuzz, MutatedValidTracesNeverCrash) {
   const std::string base = valid_trace_csv();
   ASSERT_FALSE(base.empty());
   std::mt19937_64 rng(0xC5Fu);
-  std::uniform_int_distribution<std::size_t> pos(0, base.size() - 1);
-  std::uniform_int_distribution<int> byte(0, 255);
-  std::uniform_int_distribution<int> op(0, 3);
-
   const int rounds = fuzz_rounds(300);
   for (int round = 0; round < rounds; ++round) {
-    std::string mutated = base;
-    const int edits = 1 + static_cast<int>(rng() % 8);
-    for (int e = 0; e < edits; ++e) {
-      const std::size_t at = pos(rng) % mutated.size();
-      switch (op(rng)) {
-        case 0:  // overwrite with an arbitrary byte (NUL included)
-          mutated[at] = static_cast<char>(byte(rng));
-          break;
-        case 1:  // delete one byte
-          mutated.erase(at, 1);
-          break;
-        case 2:  // insert an arbitrary byte
-          mutated.insert(at, 1, static_cast<char>(byte(rng)));
-          break;
-        default:  // truncate mid-structure
-          mutated.resize(at);
-          break;
-      }
-      if (mutated.empty()) break;
-    }
     SCOPED_TRACE("round " + std::to_string(round));
-    exercise(mutated);
+    exercise(mutate(base, rng));
   }
 }
 
@@ -162,6 +178,128 @@ TEST(CsvFuzz, MutatedMatrixCsvNeverCrashes) {
     } catch (const std::exception&) {
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// The JSON readers.
+
+/// Feeds `text` to every structured JSON reader and returns how many of
+/// the four rejected it; whatever one accepts goes on to the layer that
+/// consumes it. json::parse itself only has to reject or accept cleanly.
+int structured_rejections(const std::string& text) {
+  try {
+    (void)json::parse(text);
+  } catch (const json::Error&) {
+  }
+  int rejected = 0;
+  try {
+    const benchstat::Record record = benchstat::read_record(text);
+    benchstat::Baseline baseline;
+    baseline.records.push_back(record);
+    (void)benchstat::render_text(benchstat::compare(baseline, {record}, {}));
+  } catch (const std::exception&) {
+    ++rejected;
+  }
+  try {
+    const benchstat::Baseline baseline = benchstat::read_baseline(text);
+    (void)benchstat::render_markdown(
+        benchstat::compare(baseline, baseline.records, {}));
+  } catch (const std::exception&) {
+    ++rejected;
+  }
+  try {
+    const auto tree = telemetry::read_call_tree_json(text);
+    (void)telemetry::render_text(telemetry::diff_call_trees(tree, tree, {}));
+  } catch (const std::exception&) {
+    ++rejected;
+  }
+  std::string error;
+  if (!lint::findings_from_sarif(text, &error).has_value()) {
+    EXPECT_FALSE(error.empty());
+    ++rejected;
+  }
+  return rejected;
+}
+
+TEST(CsvFuzz, JsonCorpusIsRejectedByEveryReader) {
+  const std::filesystem::path dir =
+      std::filesystem::path(VN2_CSV_CORPUS_DIR) / "json";
+  ASSERT_TRUE(std::filesystem::exists(dir)) << dir;
+  std::size_t seen = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    SCOPED_TRACE(name);
+    // The control document satisfies every reader; each other file is
+    // that document with one defect, which every reader must catch.
+    const int expected = name.rfind("valid_", 0) == 0 ? 0 : 4;
+    EXPECT_EQ(structured_rejections(read_bytes(entry.path())), expected);
+    ++seen;
+  }
+  EXPECT_GE(seen, 10u) << "corpus unexpectedly small";
+}
+
+/// A bench record with every section filled, as the benches write it.
+std::string valid_record_json() {
+  benchstat::Record record;
+  record.bench = "fuzz";
+  record.workload = "mutation base";
+  record.provenance.reps = 3;
+  record.provenance.bench_days = 0.25;
+  record.environment.cpu_features = "avx2 fma";
+  record.environment.hardware_concurrency = 4;
+  record.scale = {{"rows", 100.0}, {"ranks", 12.0}};
+  benchstat::Case hot("hot", {benchstat::make_metric("seconds", "s", true,
+                                                     true, {1.0, 1.1, 0.9})});
+  hot.resources.sampled = true;
+  hot.resources.rss_series = {{0, 1000}, {25, 2000}};
+  record.cases.push_back(std::move(hot));
+  record.checks.push_back({"bit_identical", true});
+  record.resources.alloc_count = 7;
+  record.telemetry_json = "{\"counters\": {\"nnls.solves\": 12}}";
+  telemetry::StringSink sink;
+  benchstat::write_record(sink, record);
+  return sink.str();
+}
+
+/// A profile snapshot with a three-level call tree and every section.
+std::string valid_snapshot_json() {
+  telemetry::Snapshot snapshot;
+  snapshot.counters = {{"nnls.solves", 12}};
+  snapshot.gauges = {{"nmf.alpha", 0.25}};
+  snapshot.span_stats = {{"train", 1, 5000, 5000, 5000, 4000}};
+  snapshot.path_stats = {{"train", 1, 5000, 5000, 5000, 4000},
+                         {"train/nmf", 3, 3000, 500, 2000, 3000},
+                         {"train/nmf/nnls", 9, 900, 50, 200, 800}};
+  telemetry::StringSink sink;
+  telemetry::write_json(sink, snapshot);
+  return sink.str();
+}
+
+std::string valid_sarif_json() {
+  return lint::to_sarif({{"src/core/a.cpp", 7, "naked-new", "new \"x\""},
+                         {"src/nmf/b.cpp", 3, "float-in-numeric", "f\tl"}});
+}
+
+void mutate_json(const std::string& base, std::uint64_t seed) {
+  ASSERT_LT(structured_rejections(base), 4) << "no reader accepts the base";
+  std::mt19937_64 rng(seed);
+  const int rounds = fuzz_rounds(300);
+  for (int round = 0; round < rounds; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    (void)structured_rejections(mutate(base, rng));
+  }
+}
+
+TEST(CsvFuzz, MutatedBenchRecordsNeverCrash) {
+  mutate_json(valid_record_json(), 0xBE7Cu);
+}
+
+TEST(CsvFuzz, MutatedProfileSnapshotsNeverCrash) {
+  mutate_json(valid_snapshot_json(), 0x5FA9u);
+}
+
+TEST(CsvFuzz, MutatedSarifLogsNeverCrash) {
+  mutate_json(valid_sarif_json(), 0x5A21u);
 }
 
 }  // namespace

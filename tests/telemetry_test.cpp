@@ -1,13 +1,16 @@
 // Tests for the telemetry subsystem: registry thread-safety, span nesting,
-// both sink formats round-tripping, the runtime and compile-time switches,
-// and an end-to-end pipeline run leaving nonzero counters in every
-// instrumented family. All tests share the process-global registry, so
-// each starts with reset().
+// every sink format parsing back through the JSON codec field by field,
+// the runtime and compile-time switches, and an end-to-end pipeline run
+// leaving nonzero counters in every instrumented family. All tests share
+// the process-global registry, so each starts with reset().
 #include "telemetry/telemetry.hpp"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
+#include <limits>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -16,6 +19,7 @@
 #include "core/inference.hpp"
 #include "core/model.hpp"
 #include "core/parallel.hpp"
+#include "json/json.hpp"
 #include "linalg/nnls.hpp"
 #include "linalg/random.hpp"
 #include "nmf/nmf.hpp"
@@ -120,24 +124,69 @@ TEST_F(TelemetryTest, JsonLinesRoundTrips) {
   h.record(900);
   { ScopedSpan span("test.span"); }
   const Snapshot before = Registry::global().snapshot();
+  // Every section holds the entries above, so no check below is vacuous.
+  EXPECT_EQ(before.counter("test.count"), 42u);
+  ASSERT_FALSE(before.gauges.empty());
+  ASSERT_EQ(before.histograms.size(), 1u);
+  EXPECT_EQ(before.histograms[0].second.sum, 903u);
+  ASSERT_FALSE(before.span_stats.empty());
 
   StringSink sink;
   write_json_lines(sink, before);
-  const Snapshot after = read_json_lines(sink.str());
+  std::vector<json::Value> rows;
+  std::istringstream lines(sink.str());
+  for (std::string line; std::getline(lines, line);)
+    rows.push_back(json::parse(line));
 
-  EXPECT_EQ(after.compiled_in, before.compiled_in);
-  EXPECT_EQ(after.counters, before.counters);
-  EXPECT_EQ(after.gauges, before.gauges);
-  ASSERT_EQ(after.histograms.size(), 1u);
-  EXPECT_EQ(after.histograms[0].first, "test.hist");
-  EXPECT_EQ(after.histograms[0].second.count, 2u);
-  EXPECT_EQ(after.histograms[0].second.sum, 903u);
-  EXPECT_EQ(after.histograms[0].second.min, 3u);
-  EXPECT_EQ(after.histograms[0].second.max, 900u);
-  ASSERT_EQ(after.span_stats.size(), before.span_stats.size());
-  EXPECT_EQ(after.span_stats[0].name, "test.span");
-  EXPECT_EQ(after.span_stats[0].count, before.span_stats[0].count);
-  EXPECT_EQ(after.span_stats[0].total_ns, before.span_stats[0].total_ns);
+  const std::size_t expected = 2 + before.counters.size() +
+                               before.gauges.size() +
+                               before.histograms.size() +
+                               before.span_stats.size() +
+                               before.path_stats.size();
+  ASSERT_EQ(rows.size(), expected);
+  EXPECT_EQ(rows[0].at("type").as_string(), "meta");
+  EXPECT_EQ(rows[0].at("telemetry_compiled").as_bool(), before.compiled_in);
+  EXPECT_EQ(rows[0].at("spans_dropped").as_u64(), before.spans_dropped);
+  EXPECT_EQ(rows[1].at("type").as_string(), "resource");
+  EXPECT_EQ(rows[1].at("sampled").as_bool(), before.resource.sampled);
+  EXPECT_EQ(rows[1].at("peak_rss_bytes").as_u64(),
+            before.resource.peak_rss_bytes);
+  EXPECT_EQ(rows[1].at("current_rss_bytes").as_u64(),
+            before.resource.current_rss_bytes);
+  EXPECT_EQ(rows[1].at("cpu_user_ns").as_u64(), before.resource.cpu_user_ns);
+  EXPECT_EQ(rows[1].at("cpu_system_ns").as_u64(),
+            before.resource.cpu_system_ns);
+  std::size_t row = 2;
+  for (const auto& [name, value] : before.counters) {
+    EXPECT_EQ(rows[row].at("type").as_string(), "counter");
+    EXPECT_EQ(rows[row].at("name").as_string(), name);
+    EXPECT_EQ(rows[row++].at("value").as_u64(), value);
+  }
+  for (const auto& [name, value] : before.gauges) {
+    EXPECT_EQ(rows[row].at("type").as_string(), "gauge");
+    EXPECT_EQ(rows[row].at("name").as_string(), name);
+    EXPECT_EQ(rows[row++].at("value").as_double(), value);
+  }
+  for (const auto& [name, hist] : before.histograms) {
+    EXPECT_EQ(rows[row].at("type").as_string(), "histogram");
+    EXPECT_EQ(rows[row].at("name").as_string(), name);
+    EXPECT_EQ(rows[row].at("count").as_u64(), hist.count);
+    EXPECT_EQ(rows[row].at("sum").as_u64(), hist.sum);
+    EXPECT_EQ(rows[row].at("min").as_u64(), hist.min);
+    EXPECT_EQ(rows[row++].at("max").as_u64(), hist.max);
+  }
+  const auto expect_stats = [&](const char* type, const char* key,
+                                const SpanStats& s) {
+    EXPECT_EQ(rows[row].at("type").as_string(), type);
+    EXPECT_EQ(rows[row].at(key).as_string(), s.name);
+    EXPECT_EQ(rows[row].at("count").as_u64(), s.count);
+    EXPECT_EQ(rows[row].at("total_ns").as_u64(), s.total_ns);
+    EXPECT_EQ(rows[row].at("min_ns").as_u64(), s.min_ns);
+    EXPECT_EQ(rows[row].at("max_ns").as_u64(), s.max_ns);
+    EXPECT_EQ(rows[row++].at("total_cpu_ns").as_u64(), s.total_cpu_ns);
+  };
+  for (const SpanStats& s : before.span_stats) expect_stats("span", "name", s);
+  for (const SpanStats& s : before.path_stats) expect_stats("path", "path", s);
 }
 
 TEST_F(TelemetryTest, TraceEventsRoundTrip) {
@@ -145,31 +194,69 @@ TEST_F(TelemetryTest, TraceEventsRoundTrip) {
   Registry::global().record_span(
       {"beta.gamma", "alpha/beta.gamma", 1250, 1, 1, 2});
   const Snapshot snapshot = Registry::global().snapshot();
+  ASSERT_EQ(snapshot.spans.size(), 2u);
 
   StringSink sink;
   write_trace_events(sink, snapshot);
-  const std::vector<SpanRecord> parsed = read_trace_events(sink.str());
+  const json::Value document = json::parse(sink.str());
 
-  ASSERT_EQ(parsed.size(), 2u);
-  EXPECT_EQ(parsed[0].name, "alpha");
-  EXPECT_EQ(parsed[0].path, "alpha");
-  EXPECT_EQ(parsed[0].start_ns, 1000u);
-  EXPECT_EQ(parsed[0].duration_ns, 250u);
-  EXPECT_EQ(parsed[0].thread, 0u);
-  EXPECT_EQ(parsed[0].depth, 0u);
-  EXPECT_EQ(parsed[1].name, "beta.gamma");
-  EXPECT_EQ(parsed[1].path, "alpha/beta.gamma");
-  EXPECT_EQ(parsed[1].start_ns, 1250u);
-  EXPECT_EQ(parsed[1].duration_ns, 1u);
-  EXPECT_EQ(parsed[1].thread, 1u);
-  EXPECT_EQ(parsed[1].depth, 2u);
+  EXPECT_EQ(document.at("base_ns").as_u64(), 1000u);
+  const auto& events = document.at("traceEvents").items();
+  ASSERT_EQ(events.size(), 2u);
+  // Microsecond timestamps keep nanosecond precision in their text.
+  const char* ts[] = {"0.000", "0.250"};
+  const char* dur[] = {"0.250", "0.001"};
+  for (std::size_t i = 0; i < 2; ++i) {
+    const SpanRecord& span = snapshot.spans[i];
+    const json::Value& event = events[i];
+    EXPECT_EQ(event.at("name").as_string(), span.name);
+    EXPECT_EQ(event.at("ph").as_string(), "X");
+    EXPECT_EQ(event.at("pid").as_u64(), 0u);
+    EXPECT_EQ(event.at("tid").as_u64(), span.thread);
+    EXPECT_EQ(event.at("ts").number_text(), ts[i]);
+    EXPECT_EQ(event.at("dur").number_text(), dur[i]);
+    EXPECT_EQ(event.at("args").at("depth").as_u64(), span.depth);
+    EXPECT_EQ(event.at("args").at("cpu_ns").as_u64(), span.cpu_ns);
+    EXPECT_EQ(event.at("args").at("path").as_string(), span.path);
+  }
+  EXPECT_EQ(snapshot.spans[1].path, "alpha/beta.gamma");
+  EXPECT_EQ(snapshot.spans[1].depth, 2u);
 }
 
 TEST_F(TelemetryTest, MalformedInputThrows) {
-  EXPECT_THROW((void)read_json_lines("{\"type\": \"nonsense\"}\n"),
-               std::runtime_error);
-  EXPECT_THROW((void)read_trace_events("not json at all"),
-               std::runtime_error);
+  Registry::global().counter("test.count").add(1);
+  { ScopedSpan span("test.span"); }
+  const Snapshot snapshot = Registry::global().snapshot();
+  StringSink pretty, lines, trace;
+  write_json(pretty, snapshot);
+  write_json_lines(lines, snapshot);
+  write_trace_events(trace, snapshot);
+  // Every writer's output parses whole, and is rejected cut short.
+  for (const std::string& text : {pretty.str(), lines.str().substr(
+                                       0, lines.str().find('\n')),
+                                   trace.str()}) {
+    EXPECT_NO_THROW((void)json::parse(text));
+    EXPECT_THROW((void)json::parse(text.substr(0, text.size() / 2)),
+                 json::Error);
+  }
+  EXPECT_THROW((void)json::parse("not json at all"), std::runtime_error);
+}
+
+TEST_F(TelemetryTest, NonFiniteGaugesAreWrittenAsNull) {
+  Snapshot snapshot;  // Hand-built: identical with telemetry compiled out.
+  snapshot.gauges = {{"test.nan", std::nan("")},
+                     {"test.inf", std::numeric_limits<double>::infinity()},
+                     {"test.finite", 0.1}};
+  StringSink pretty, lines;
+  write_json(pretty, snapshot);
+  write_json_lines(lines, snapshot);
+  const json::Value document = json::parse(pretty.str());
+  EXPECT_TRUE(document.at("gauges").at("test.nan").is_null());
+  EXPECT_TRUE(document.at("gauges").at("test.inf").is_null());
+  EXPECT_EQ(document.at("gauges").at("test.finite").as_double(), 0.1);
+  std::istringstream rows(lines.str());
+  for (std::string line; std::getline(rows, line);)
+    EXPECT_NO_THROW((void)json::parse(line)) << line;
 }
 
 TEST_F(TelemetryTest, MacrosHonourCompileAndRuntimeSwitches) {

@@ -1,389 +1,84 @@
 #include "lint/sarif.hpp"
 
-#include <algorithm>
-#include <cctype>
 #include <map>
-#include <memory>
-#include <sstream>
+#include <tuple>
+
+#include "json/json.hpp"
 
 namespace vn2::lint {
-
-namespace {
-
-// ---------------------------------------------------------------------------
-// JSON writing.
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// JSON parsing: a strict, minimal recursive-descent parser — enough for
-// SARIF logs, with real errors instead of best-effort recovery.
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::map<std::string, JsonValue> object;
-
-  [[nodiscard]] const JsonValue* get(const std::string& key) const {
-    const auto it = object.find(key);
-    return it == object.end() ? nullptr : &it->second;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  std::optional<JsonValue> parse(std::string* error) {
-    JsonValue v;
-    if (!value(v)) {
-      if (error) *error = error_;
-      return std::nullopt;
-    }
-    skip_ws();
-    if (pos_ != text_.size()) {
-      if (error) *error = "trailing characters after JSON document";
-      return std::nullopt;
-    }
-    return v;
-  }
-
- private:
-  bool fail(const std::string& why) {
-    if (error_.empty())
-      error_ = why + " at offset " + std::to_string(pos_);
-    return false;
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
-  }
-
-  bool literal(const char* word, JsonValue& out, JsonValue::Kind kind,
-               bool boolean) {
-    const std::size_t len = std::string(word).size();
-    if (text_.compare(pos_, len, word) != 0) return fail("invalid literal");
-    pos_ += len;
-    out.kind = kind;
-    out.boolean = boolean;
-    return true;
-  }
-
-  bool string_token(std::string& out) {
-    if (pos_ >= text_.size() || text_[pos_] != '"')
-      return fail("expected string");
-    ++pos_;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_];
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) return fail("unterminated escape");
-        const char e = text_[pos_];
-        switch (e) {
-          case '"': c = '"'; break;
-          case '\\': c = '\\'; break;
-          case '/': c = '/'; break;
-          case 'n': c = '\n'; break;
-          case 'r': c = '\r'; break;
-          case 't': c = '\t'; break;
-          case 'b': c = '\b'; break;
-          case 'f': c = '\f'; break;
-          case 'u': {
-            if (pos_ + 4 >= text_.size()) return fail("bad \\u escape");
-            unsigned code = 0;
-            for (int k = 0; k < 4; ++k) {
-              const char h = text_[pos_ + 1 + k];
-              code <<= 4;
-              if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f')
-                code |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F')
-                code |= static_cast<unsigned>(h - 'A' + 10);
-              else
-                return fail("bad \\u escape");
-            }
-            pos_ += 4;
-            // BMP-only decode (SARIF we emit never needs surrogates).
-            if (code < 0x80) {
-              c = static_cast<char>(code);
-            } else {
-              if (code < 0x800) {
-                out += static_cast<char>(0xC0 | (code >> 6));
-              } else {
-                out += static_cast<char>(0xE0 | (code >> 12));
-                out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-              }
-              out += static_cast<char>(0x80 | (code & 0x3F));
-              ++pos_;
-              continue;
-            }
-            break;
-          }
-          default:
-            return fail("unknown escape");
-        }
-      }
-      out += c;
-      ++pos_;
-    }
-    if (pos_ >= text_.size()) return fail("unterminated string");
-    ++pos_;  // closing quote
-    return true;
-  }
-
-  bool value(JsonValue& out) {
-    skip_ws();
-    if (pos_ >= text_.size()) return fail("unexpected end of input");
-    const char c = text_[pos_];
-    if (c == 'n') return literal("null", out, JsonValue::Kind::kNull, false);
-    if (c == 't') return literal("true", out, JsonValue::Kind::kBool, true);
-    if (c == 'f') return literal("false", out, JsonValue::Kind::kBool, false);
-    if (c == '"') {
-      out.kind = JsonValue::Kind::kString;
-      return string_token(out.string);
-    }
-    if (c == '[') {
-      ++pos_;
-      out.kind = JsonValue::Kind::kArray;
-      skip_ws();
-      if (pos_ < text_.size() && text_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      while (true) {
-        JsonValue element;
-        if (!value(element)) return false;
-        out.array.push_back(std::move(element));
-        skip_ws();
-        if (pos_ >= text_.size()) return fail("unterminated array");
-        if (text_[pos_] == ',') {
-          ++pos_;
-          continue;
-        }
-        if (text_[pos_] == ']') {
-          ++pos_;
-          return true;
-        }
-        return fail("expected ',' or ']'");
-      }
-    }
-    if (c == '{') {
-      ++pos_;
-      out.kind = JsonValue::Kind::kObject;
-      skip_ws();
-      if (pos_ < text_.size() && text_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      while (true) {
-        skip_ws();
-        std::string key;
-        if (!string_token(key)) return false;
-        skip_ws();
-        if (pos_ >= text_.size() || text_[pos_] != ':')
-          return fail("expected ':'");
-        ++pos_;
-        JsonValue element;
-        if (!value(element)) return false;
-        out.object.emplace(std::move(key), std::move(element));
-        skip_ws();
-        if (pos_ >= text_.size()) return fail("unterminated object");
-        if (text_[pos_] == ',') {
-          ++pos_;
-          continue;
-        }
-        if (text_[pos_] == '}') {
-          ++pos_;
-          return true;
-        }
-        return fail("expected ',' or '}'");
-      }
-    }
-    // Number.
-    const std::size_t start = pos_;
-    if (c == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-'))
-      ++pos_;
-    if (pos_ == start) return fail("unexpected character");
-    out.kind = JsonValue::Kind::kNumber;
-    out.number = std::stod(text_.substr(start, pos_ - start));
-    return true;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-  std::string error_;
-};
-
-const JsonValue* expect(const JsonValue* v, const char* key,
-                        JsonValue::Kind kind, std::string* error,
-                        const char* what) {
-  const JsonValue* child = v ? v->get(key) : nullptr;
-  if (!child || child->kind != kind) {
-    if (error) *error = std::string("missing or mistyped ") + what;
-    return nullptr;
-  }
-  return child;
-}
-
-}  // namespace
 
 std::string to_sarif(const std::vector<Finding>& findings) {
   // Stable rule order + index map for results' ruleIndex.
   const auto catalogue = rule_catalogue();
   std::map<std::string, std::size_t> index_of;
-  for (std::size_t i = 0; i < catalogue.size(); ++i)
-    index_of[catalogue[i].first] = i;
-
-  std::ostringstream out;
-  out << "{\n"
-      << "  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n"
-      << "  \"version\": \"2.1.0\",\n"
-      << "  \"runs\": [\n"
-      << "    {\n"
-      << "      \"tool\": {\n"
-      << "        \"driver\": {\n"
-      << "          \"name\": \"vn2-lint\",\n"
-      << "          \"version\": \"2.0.0\",\n"
-      << "          \"informationUri\": "
-         "\"DESIGN.md#correctness--static-analysis\",\n"
-      << "          \"rules\": [\n";
+  json::Value rules = json::Value::array();
   for (std::size_t i = 0; i < catalogue.size(); ++i) {
-    out << "            {\"id\": \"" << json_escape(catalogue[i].first)
-        << "\", \"shortDescription\": {\"text\": \""
-        << json_escape(catalogue[i].second) << "\"}}"
-        << (i + 1 < catalogue.size() ? "," : "") << "\n";
+    index_of[catalogue[i].first] = i;
+    rules.push_back(json::Value::object(
+        {{"id", catalogue[i].first},
+         {"shortDescription",
+          json::Value::object({{"text", catalogue[i].second}})}}));
   }
-  out << "          ]\n"
-      << "        }\n"
-      << "      },\n"
-      << "      \"results\": [\n";
-  for (std::size_t i = 0; i < findings.size(); ++i) {
-    const Finding& f = findings[i];
-    out << "        {\"ruleId\": \"" << json_escape(f.rule) << "\"";
+  json::Value results = json::Value::array();
+  for (const Finding& f : findings) {
+    json::Value result = json::Value::object({{"ruleId", f.rule}});
     const auto idx = index_of.find(f.rule);
-    if (idx != index_of.end()) out << ", \"ruleIndex\": " << idx->second;
-    out << ", \"level\": \"error\", \"message\": {\"text\": \""
-        << json_escape(f.message) << "\"}, \"locations\": [{"
-        << "\"physicalLocation\": {\"artifactLocation\": {\"uri\": \""
-        << json_escape(f.file) << "\", \"uriBaseId\": \"SRCROOT\"}, "
-        << "\"region\": {\"startLine\": " << f.line << "}}}]}"
-        << (i + 1 < findings.size() ? "," : "") << "\n";
+    if (idx != index_of.end()) result.set("ruleIndex", idx->second);
+    const json::Value location = json::Value::object(
+        {{"physicalLocation",
+          json::Value::object(
+              {{"artifactLocation",
+                json::Value::object(
+                    {{"uri", f.file}, {"uriBaseId", "SRCROOT"}})},
+               {"region", json::Value::object({{"startLine", f.line}})}})}});
+    result.set("level", "error")
+        .set("message", json::Value::object({{"text", f.message}}))
+        .set("locations", json::Value::array({location}));
+    results.push_back(std::move(result));
   }
-  out << "      ]\n"
-      << "    }\n"
-      << "  ]\n"
-      << "}\n";
-  return out.str();
+  const json::Value driver = json::Value::object(
+      {{"name", "vn2-lint"},
+       {"version", "2.0.0"},
+       {"informationUri", "DESIGN.md#correctness--static-analysis"},
+       {"rules", std::move(rules)}});
+  const json::Value run = json::Value::object(
+      {{"tool", json::Value::object({{"driver", driver}})},
+       {"results", std::move(results)}});
+  return json::dump_indented(json::Value::object(
+      {{"$schema", "https://json.schemastore.org/sarif-2.1.0.json"},
+       {"version", "2.1.0"},
+       {"runs", json::Value::array({run})}}));
 }
 
 std::optional<std::vector<Finding>> findings_from_sarif(
-    const std::string& json, std::string* error) {
-  JsonParser parser(json);
-  const auto root = parser.parse(error);
-  if (!root) return std::nullopt;
-  if (root->kind != JsonValue::Kind::kObject) {
-    if (error) *error = "SARIF log must be a JSON object";
-    return std::nullopt;
-  }
-  const JsonValue* version =
-      expect(&*root, "version", JsonValue::Kind::kString, error, "version");
-  if (!version) return std::nullopt;
-  if (version->string != "2.1.0") {
-    if (error) *error = "unsupported SARIF version " + version->string;
-    return std::nullopt;
-  }
-  const JsonValue* runs =
-      expect(&*root, "runs", JsonValue::Kind::kArray, error, "runs array");
-  if (!runs) return std::nullopt;
-  std::vector<Finding> findings;
-  for (const JsonValue& run : runs->array) {
-    if (run.kind != JsonValue::Kind::kObject) {
-      if (error) *error = "run must be an object";
-      return std::nullopt;
-    }
-    const JsonValue* results = expect(&run, "results",
-                                      JsonValue::Kind::kArray, error,
-                                      "run.results array");
-    if (!results) return std::nullopt;
-    for (const JsonValue& result : results->array) {
-      const JsonValue* rule_id =
-          expect(&result, "ruleId", JsonValue::Kind::kString, error,
-                 "result.ruleId");
-      const JsonValue* message =
-          expect(&result, "message", JsonValue::Kind::kObject, error,
-                 "result.message");
-      const JsonValue* locations =
-          expect(&result, "locations", JsonValue::Kind::kArray, error,
-                 "result.locations");
-      if (!rule_id || !message || !locations) return std::nullopt;
-      const JsonValue* text = expect(message, "text",
-                                     JsonValue::Kind::kString, error,
-                                     "result.message.text");
-      if (!text) return std::nullopt;
-      if (locations->array.empty()) {
-        if (error) *error = "result.locations is empty";
-        return std::nullopt;
+    const std::string& text, std::string* error) {
+  try {
+    const json::Value root = json::parse(text);
+    const json::Value& version = root.at("version");
+    if (version.as_string() != "2.1.0")
+      throw json::Error(version.offset(), "unsupported SARIF version " +
+                                              version.as_string());
+    std::vector<Finding> findings;
+    for (const json::Value& run : root.at("runs").items()) {
+      for (const json::Value& result : run.at("results").items()) {
+        const json::Value& locations = result.at("locations");
+        if (locations.items().empty())
+          throw json::Error(locations.offset(), "result.locations is empty");
+        const json::Value& physical =
+            locations.items().front().at("physicalLocation");
+        Finding f;
+        f.rule = result.at("ruleId").as_string();
+        f.message = result.at("message").at("text").as_string();
+        f.file = physical.at("artifactLocation").at("uri").as_string();
+        f.line = physical.at("region").at("startLine").as_u64();
+        findings.push_back(std::move(f));
       }
-      const JsonValue* physical =
-          expect(&locations->array.front(), "physicalLocation",
-                 JsonValue::Kind::kObject, error, "physicalLocation");
-      if (!physical) return std::nullopt;
-      const JsonValue* artifact =
-          expect(physical, "artifactLocation", JsonValue::Kind::kObject,
-                 error, "artifactLocation");
-      if (!artifact) return std::nullopt;
-      const JsonValue* uri = expect(artifact, "uri",
-                                    JsonValue::Kind::kString, error,
-                                    "artifactLocation.uri");
-      if (!uri) return std::nullopt;
-      const JsonValue* region = expect(physical, "region",
-                                       JsonValue::Kind::kObject, error,
-                                       "region");
-      if (!region) return std::nullopt;
-      const JsonValue* start = expect(region, "startLine",
-                                      JsonValue::Kind::kNumber, error,
-                                      "region.startLine");
-      if (!start) return std::nullopt;
-      Finding f;
-      f.rule = rule_id->string;
-      f.message = text->string;
-      f.file = uri->string;
-      f.line = static_cast<std::size_t>(start->number);
-      findings.push_back(std::move(f));
     }
+    return findings;
+  } catch (const json::Error& e) {
+    if (error) *error = e.what();
+    return std::nullopt;
   }
-  return findings;
 }
 
 BaselineDiff apply_baseline(const std::vector<Finding>& findings,

@@ -29,9 +29,9 @@ namespace vn2::lint {
 /// Strictly parses a SARIF 2.1.0 log produced by `to_sarif` (or any log
 /// with the same run/result shape) back into findings. On malformed
 /// input returns nullopt and, when `error` is non-null, stores a
-/// one-line reason.
+/// one-line reason (the json::Error message, with its byte offset).
 [[nodiscard]] std::optional<std::vector<Finding>> findings_from_sarif(
-    const std::string& json, std::string* error = nullptr);
+    const std::string& text, std::string* error = nullptr);
 
 /// Result of subtracting a baseline from the current findings.
 struct BaselineDiff {

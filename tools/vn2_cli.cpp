@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -625,6 +626,35 @@ int cmd_profile(const Args& args) {
   return 0;
 }
 
+/// A subcommand and the options it reads, valued and bare alike. main()
+/// rejects any other option, so a typo or a retired option fails instead
+/// of being silently ignored.
+struct Command {
+  int (*run)(const Args&);
+  std::set<std::string> options;
+};
+
+const std::map<std::string, Command>& commands() {
+  static const std::map<std::string, Command> kCommands = {
+      {"simulate",
+       {cmd_simulate,
+        {"scenario", "days", "seed", "nodes", "spacing", "runs", "out"}}},
+      {"train",
+       {cmd_train, {"trace", "rank", "threshold", "skip-extraction", "out"}}},
+      {"inspect", {cmd_inspect, {"model"}}},
+      {"diagnose", {cmd_diagnose, {"model", "trace", "top", "all"}}},
+      {"incidents", {cmd_incidents, {"model", "trace", "gap"}}},
+      {"silent", {cmd_silent, {"trace", "factor"}}},
+      {"stats", {cmd_stats, {"trace"}}},
+      {"profile",
+       {cmd_profile,
+        {"scenario", "days", "seed", "nodes", "spacing", "rank", "threshold",
+         "top", "out", "trace-out", "json", "sample-ms", "diff", "floor",
+         "min-ns", "markdown"}}},
+  };
+  return kCommands;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -637,8 +667,21 @@ int main(int argc, char** argv) {
   if (at >= tokens.size()) return usage();
   const std::string command = tokens[at];
   tokens.erase(tokens.begin() + static_cast<std::ptrdiff_t>(at));
+  const auto known = commands().find(command);
+  if (known == commands().end()) return usage();
   try {
     const Args args = parse_args(tokens);
+    std::vector<std::string> names;
+    for (const auto& [name, value] : args.options) names.push_back(name);
+    for (const auto& [name, set] : args.flags) names.push_back(name);
+    for (const std::string& name : names) {
+      if (known->second.options.count(name) == 0 &&
+          !is_global_option("--" + name)) {
+        std::fprintf(stderr, "vn2 %s: unknown option '--%s'\n",
+                     command.c_str(), name.c_str());
+        return 2;
+      }
+    }
     // Only `profile --diff` consumes positionals; anywhere else a bare
     // token is a typo worth stopping on.
     if (!args.positional.empty() && command != "profile") {
@@ -677,31 +720,17 @@ int main(int argc, char** argv) {
       }
       vn2::linalg::set_backend(*parsed);
     }
+    const int status = known->second.run(args);
     // Global telemetry outputs: written after any successful subcommand.
-    auto dispatch = [&]() -> std::optional<int> {
-      if (command == "simulate") return cmd_simulate(args);
-      if (command == "train") return cmd_train(args);
-      if (command == "inspect") return cmd_inspect(args);
-      if (command == "diagnose") return cmd_diagnose(args);
-      if (command == "incidents") return cmd_incidents(args);
-      if (command == "silent") return cmd_silent(args);
-      if (command == "stats") return cmd_stats(args);
-      if (command == "profile") return cmd_profile(args);
-      return std::nullopt;
-    };
-    const std::optional<int> status = dispatch();
-    if (status.has_value()) {
-      const std::string snapshot_path = args.get("telemetry");
-      if (!snapshot_path.empty() && *status == 0)
-        write_telemetry_file(snapshot_path, /*chrome_trace=*/false);
-      const std::string trace_path = args.get("telemetry-trace");
-      if (!trace_path.empty() && *status == 0)
-        write_telemetry_file(trace_path, /*chrome_trace=*/true);
-      return *status;
-    }
+    const std::string snapshot_path = args.get("telemetry");
+    if (!snapshot_path.empty() && status == 0)
+      write_telemetry_file(snapshot_path, /*chrome_trace=*/false);
+    const std::string trace_path = args.get("telemetry-trace");
+    if (!trace_path.empty() && status == 0)
+      write_telemetry_file(trace_path, /*chrome_trace=*/true);
+    return status;
   } catch (const std::exception& error) {
     std::fprintf(stderr, "vn2 %s: %s\n", command.c_str(), error.what());
     return 1;
   }
-  return usage();
 }
