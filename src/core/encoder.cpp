@@ -43,7 +43,7 @@ double StateEncoder::z_of(std::size_t m, double raw) const {
   return std::clamp(z, -clip_, clip_);
 }
 
-Vector StateEncoder::encode(const Vector& raw) const {
+Vector StateEncoder::encode(std::span<const double> raw) const {
   if (raw.size() != metrics::kMetricCount)
     throw std::invalid_argument("StateEncoder::encode: wrong vector size");
   Vector out(kEncodedCount);

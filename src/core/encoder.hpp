@@ -21,6 +21,7 @@
 #pragma once
 
 #include <array>
+#include <span>
 
 #include "linalg/matrix.hpp"
 #include "metrics/schema.hpp"
@@ -38,8 +39,9 @@ class StateEncoder {
   static StateEncoder fit(const linalg::Matrix& states,
                           double clip_sigma = 12.0);
 
-  /// Encodes one raw 43-state into the non-negative 86-vector.
-  [[nodiscard]] linalg::Vector encode(const linalg::Vector& raw) const;
+  /// Encodes one raw 43-state (a Vector or a batch row) into the
+  /// non-negative 86-vector.
+  [[nodiscard]] linalg::Vector encode(std::span<const double> raw) const;
   /// Encodes a batch (n × 43 → n × 86).
   [[nodiscard]] linalg::Matrix encode(const linalg::Matrix& raw) const;
 

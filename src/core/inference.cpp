@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -17,25 +18,29 @@ using linalg::Vector;
 namespace {
 
 // States per parallel_for task in diagnose_batch. Each chunk owns one
-// NnlsWorkspace, so the solver scratch warms up once per chunk instead of
-// once per state.
+// NnlsWorkspace, sized once for the shared system, so no solve allocates
+// solver scratch.
 constexpr std::size_t kStatesPerChunk = 64;
 
-// One diagnosis against a pre-transposed Ψᵀ, so batch callers pay for the
-// transpose once instead of once per state. The workspace recycles the
-// NNLS scratch across states (warm == cold bit-for-bit, see nnls.hpp).
-Diagnosis diagnose_against(const Matrix& psi_t, const Vn2Model& model,
-                           const Vector& raw_state,
+// One diagnosis against the prebuilt system A = Ψᵀ (with its Gram matrix
+// ΨΨᵀ), so batch callers build it once instead of once per state. The
+// workspace recycles the NNLS scratch across states (warm == cold
+// bit-for-bit, see nnls.hpp).
+Diagnosis diagnose_against(const linalg::NnlsSystem& system,
+                           const Vn2Model& model,
+                           std::span<const double> raw_state,
                            const DiagnoseOptions& options,
                            linalg::NnlsWorkspace& workspace) {
+  // The state is encoded once: its norm is the ε score
+  // (StateEncoder::deviation_score) and it is the NNLS right-hand side.
+  const Vector encoded = model.encoder().encode(raw_state);
   Diagnosis diagnosis;
-  diagnosis.exception_score = model.exception_score(raw_state);
-  diagnosis.is_exception = model.is_exception(raw_state);
+  diagnosis.exception_score = linalg::norm2(encoded);
+  diagnosis.is_exception = model.is_exception_score(diagnosis.exception_score);
 
   // NNLS against A = Ψᵀ (86 × r), b = encoded state.
-  const Vector encoded = model.encoder().encode(raw_state);
   linalg::NnlsResult solution =
-      linalg::nnls(psi_t, encoded, options.nnls, workspace);
+      linalg::nnls(system, encoded, options.nnls, workspace);
   diagnosis.weights = std::move(solution.x);
   diagnosis.residual = solution.residual_norm;
 
@@ -73,9 +78,10 @@ Diagnosis diagnose(const Vn2Model& model, const Vector& raw_state,
     throw std::invalid_argument("diagnose: model is not trained");
   VN2_CHECK(raw_state.size() == metrics::kMetricCount,
             "diagnose: state vector must match the 43-metric schema");
-  linalg::NnlsWorkspace workspace;
-  return diagnose_against(linalg::transpose(model.psi()), model, raw_state,
-                          options, workspace);
+  const linalg::NnlsSystem system(linalg::transpose(model.psi()));
+  linalg::NnlsWorkspace workspace(system);
+  return diagnose_against(system, model, raw_state.span(), options,
+                          workspace);
 }
 
 std::vector<Diagnosis> diagnose_batch(const Vn2Model& model,
@@ -85,17 +91,17 @@ std::vector<Diagnosis> diagnose_batch(const Vn2Model& model,
   VN2_SPAN("vn2.diagnose_batch");
   const std::size_t total = raw_states.rows();
   VN2_COUNT_N("vn2.states.diagnosed", total);
-  const Matrix a = linalg::transpose(model.psi());
+  const linalg::NnlsSystem system(linalg::transpose(model.psi()));
   // Chunk c covers states [64c, 64c + 64) and is the only writer of their
-  // slots and of its workspace, so the batch matches the serial per-state
-  // loop at any thread count.
+  // slots and of its workspace; the system is shared read-only. The batch
+  // therefore matches the serial per-state loop at any thread count.
   std::vector<Diagnosis> diagnoses(total);
   const std::size_t chunks = (total + kStatesPerChunk - 1) / kStatesPerChunk;
   parallel_for(0, chunks, [&](std::size_t c) {
-    linalg::NnlsWorkspace workspace;
+    linalg::NnlsWorkspace workspace(system);
     const std::size_t end = std::min(total, (c + 1) * kStatesPerChunk);
     for (std::size_t i = c * kStatesPerChunk; i < end; ++i)
-      diagnoses[i] = diagnose_against(a, model, raw_states.row_vector(i),
+      diagnoses[i] = diagnose_against(system, model, raw_states.row(i),
                                       options, workspace);
   });
   return diagnoses;

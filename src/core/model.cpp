@@ -33,9 +33,12 @@ double Vn2Model::exception_score(const Vector& raw_state) const {
 }
 
 bool Vn2Model::is_exception(const Vector& raw_state) const {
+  return is_exception_score(exception_score(raw_state));
+}
+
+bool Vn2Model::is_exception_score(double score) const noexcept {
   if (train_max_score_ <= 0.0) return false;
-  return exception_score(raw_state) / train_max_score_ >=
-         exception_threshold_;
+  return score / train_max_score_ >= exception_threshold_;
 }
 
 namespace {

@@ -45,6 +45,8 @@ class Vn2Model {
   [[nodiscard]] double exception_score(const linalg::Vector& raw_state) const;
   /// True when the training-time ε rule flags the state as an exception.
   [[nodiscard]] bool is_exception(const linalg::Vector& raw_state) const;
+  /// The ε rule on an already computed exception_score().
+  [[nodiscard]] bool is_exception_score(double score) const noexcept;
 
   [[nodiscard]] double train_max_score() const noexcept {
     return train_max_score_;

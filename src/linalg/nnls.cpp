@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 #include <vector>
 
 #include "core/contracts.hpp"
@@ -15,68 +14,62 @@ namespace vn2::linalg {
 
 namespace {
 
+/// Resizes a workspace buffer, tallying genuine growth (not warm reuse) so
+/// bench records can watch the workspace seam: a steady-state solve must
+/// not allocate.
+template <typename T>
+void grow_to(std::vector<T>& buffer, std::size_t size) {
+  if (buffer.capacity() < size) {
+    VN2_COUNT("nnls.workspace.reallocs");
+    VN2_COUNT_N("nnls.workspace.alloc_bytes", size * sizeof(T));
+    buffer.reserve(size);
+  }
+  buffer.resize(size);
+}
+
 /// Solves the unconstrained least-squares problem restricted to the passive
-/// set via normal equations (AᵀA)z = Aᵀb with a small ridge for stability.
-/// The Gram matrix comes from the shared SYRK kernel on a contiguous
-/// gather of the passive columns instead of the old O(k²·m) column-strided
-/// triple loop.
-Vector solve_passive(const Matrix& a, const Vector& b,
-                     const std::vector<std::size_t>& passive,
-                     NnlsWorkspace& ws) {
+/// set via the normal equations G[P,P]·z = c[P], gathered in passive order
+/// from the system's Gram matrix, with a small ridge for stability. Leaves
+/// z in ws.z[0, |P|).
+void solve_passive(const NnlsSystem& system, NnlsWorkspace& ws) {
+  const std::vector<std::size_t>& passive = ws.passive;
   const std::size_t k = passive.size();
-  const std::size_t m = a.rows();
-  const std::size_t n = a.cols();
-  // Genuine reallocations (not warm reuse) are tallied so bench records
-  // can watch the workspace seam: a steady-state solve must not allocate.
-  if (ws.packed.capacity() < m * k) {
-    VN2_COUNT("nnls.workspace.reallocs");
-    VN2_COUNT_N("nnls.workspace.alloc_bytes", m * k * sizeof(double));
+  const std::size_t n = system.gram().cols();
+  const double* g = system.gram().data();
+  double* f = ws.factor.data();
+  // Only the lower triangle feeds the in-place Cholesky.
+  double diag_max = 0.0;
+  for (std::size_t i = 0; i < k; ++i) {
+    const double* grow = g + passive[i] * n;
+    for (std::size_t j = 0; j <= i; ++j) f[i * k + j] = grow[passive[j]];
+    diag_max = std::max(diag_max, f[i * k + i]);
+    ws.z[i] = ws.atb[passive[i]];
   }
-  ws.packed.assign(m * k, 0.0);
-  if (ws.gram.rows() != k || ws.gram.cols() != k) {
-    VN2_COUNT("nnls.workspace.reallocs");
-    VN2_COUNT_N("nnls.workspace.alloc_bytes", k * k * sizeof(double));
-    ws.gram = Matrix(k, k);
-  }
-  if (ws.rhs.size() != k) {
-    VN2_COUNT("nnls.workspace.reallocs");
-    VN2_COUNT_N("nnls.workspace.alloc_bytes", k * sizeof(double));
-    ws.rhs = Vector(k);
-  }
-  std::fill(ws.rhs.begin(), ws.rhs.end(), 0.0);
-
-  // Gather the passive columns once so the SYRK kernel streams contiguous
-  // rows; rhs = packedᵀ·b accumulates in the same ascending-row order as
-  // the old per-column dot loops.
-  const double* ad = a.data();
-  double* pd = ws.packed.data();
-  for (std::size_t r = 0; r < m; ++r) {
-    const double* arow = ad + r * n;
-    double* prow = pd + r * k;
-    for (std::size_t i = 0; i < k; ++i) prow[i] = arow[passive[i]];
-    kernels::axpy(b[r], prow, ws.rhs.data(), k);
-  }
-  kernels::syrk_upper(pd, m, k, ws.gram.data());
-
   // Ridge scaled to the diagonal keeps Cholesky alive when columns are
   // nearly collinear (common for NMF bases learnt from correlated metrics).
-  double diag_max = 0.0;
-  for (std::size_t i = 0; i < k; ++i)
-    diag_max = std::max(diag_max, ws.gram(i, i));
   const double ridge = std::max(1e-12 * diag_max, 1e-300);
-  for (std::size_t i = 0; i < k; ++i) ws.gram(i, i) += ridge;
-  return cholesky_solve(ws.gram, ws.rhs);
+  for (std::size_t i = 0; i < k; ++i) f[i * k + i] += ridge;
+  cholesky_factor_in_place(f, k, k);
+  cholesky_solve_in_place(f, k, k, ws.z.data());
 }
 
-double residual_norm_of(const Matrix& a, const Vector& x, const Vector& b) {
-  Vector r = matvec(a, x);
-  r -= b;
-  return norm2(r);
+/// ‖A·x − b‖₂, evaluated directly rather than through the Gram identity so
+/// it stays accurate when the fit is nearly exact.
+double residual_norm_of(const NnlsSystem& system, const Vector& x,
+                        const Vector& b, NnlsWorkspace& ws) {
+  const Matrix& a = system.a();
+  kernels::gemv(a.data(), x.data(), ws.ax.data(), a.rows(), a.cols());
+  double acc = 0.0;
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    const double d = ws.ax[r] - b[r];
+    acc += d * d;
+  }
+  return std::sqrt(acc);
 }
 
-// Postconditions every NNLS solver must satisfy: the solution has one
-// entry per column of A, every entry is non-negative (that is the whole
-// point of NNLS), and the residual norm is a finite non-negative number.
+// Postconditions of every solve: the solution has one entry per column of
+// A, every entry is non-negative (that is the whole point of NNLS), and the
+// residual norm is a finite non-negative number.
 void assert_feasible([[maybe_unused]] const Matrix& a,
                      [[maybe_unused]] const Vector& x,
                      [[maybe_unused]] double residual) {
@@ -91,13 +84,29 @@ void assert_feasible([[maybe_unused]] const Matrix& a,
 
 }  // namespace
 
-NnlsResult nnls(const Matrix& a, const Vector& b, const NnlsOptions& options) {
-  NnlsWorkspace workspace;
-  return nnls(a, b, options, workspace);
+NnlsSystem::NnlsSystem(Matrix a) : a_(std::move(a)), gram_(a_.cols(), a_.cols()) {
+  kernels::syrk_upper(a_.data(), a_.rows(), a_.cols(), gram_.data());
 }
 
-NnlsResult nnls(const Matrix& a, const Vector& b, const NnlsOptions& options,
-                NnlsWorkspace& ws) {
+NnlsWorkspace::NnlsWorkspace(const NnlsSystem& system)
+    : atb(system.a().cols()),
+      gradient(system.a().cols()),
+      factor(system.a().cols() * system.a().cols()),
+      z(system.a().cols()),
+      ax(system.a().rows()),
+      in_passive(system.a().cols()) {
+  passive.reserve(system.a().cols());
+}
+
+NnlsResult nnls(const Matrix& a, const Vector& b, const NnlsOptions& options) {
+  const NnlsSystem system(a);
+  NnlsWorkspace workspace(system);
+  return nnls(system, b, options, workspace);
+}
+
+NnlsResult nnls(const NnlsSystem& system, const Vector& b,
+                const NnlsOptions& options, NnlsWorkspace& ws) {
+  const Matrix& a = system.a();
   VN2_CHECK(a.rows() == b.size(), "nnls: A rows must match b size");
   const std::size_t n = a.cols();
   const std::size_t m = a.rows();
@@ -106,34 +115,31 @@ NnlsResult nnls(const Matrix& a, const Vector& b, const NnlsOptions& options,
 
   Vector x(n, 0.0);
   VN2_COUNT("nnls.solves");
-  // Warm-workspace reset: in_passive/passive re-assigned wholesale, the
-  // numeric buffers reshaped lazily (and fully overwritten before reads in
-  // the loop bodies below) — a warm solve is bit-identical to a cold one.
-  ws.in_passive.assign(n, false);
+  grow_to(ws.atb, n);
+  grow_to(ws.gradient, n);
+  grow_to(ws.factor, n * n);
+  grow_to(ws.z, n);
+  grow_to(ws.ax, m);
+  grow_to(ws.in_passive, n);
+  grow_to(ws.passive, n);
+  std::fill(ws.in_passive.begin(), ws.in_passive.end(), false);
   std::vector<bool>& in_passive = ws.in_passive;
   ws.passive.clear();
   std::vector<std::size_t>& passive = ws.passive;
-  if (ws.ax.size() != m) {
-    VN2_COUNT("nnls.workspace.reallocs");
-    VN2_COUNT_N("nnls.workspace.alloc_bytes", m * sizeof(double));
-    ws.ax = Vector(m);
-  }
-  if (ws.gradient.size() != n) {
-    VN2_COUNT("nnls.workspace.reallocs");
-    VN2_COUNT_N("nnls.workspace.alloc_bytes", n * sizeof(double));
-    ws.gradient = Vector(n);
-  }
+
+  // c = Aᵀb, built row-wise: row r contributes b[r]·A(r,·) via axpy, so
+  // each c[j] accumulates in ascending-r order, streaming A once.
+  std::vector<double>& c = ws.atb;
+  std::fill(c.begin(), c.end(), 0.0);
+  for (std::size_t r = 0; r < m; ++r)
+    kernels::axpy(b[r], a.data() + r * n, c.data(), n);
 
   std::size_t iter = 0;
   for (; iter < max_iter; ++iter) {
-    // w = Aᵀ(b − A·x), built row-wise: row r contributes (b[r] − (A·x)[r])
-    // times A(r,·) via axpy, so each w[j] accumulates in the same
-    // ascending-r order as a per-column dot — but streaming A once.
-    kernels::gemv(a.data(), x.data(), ws.ax.data(), m, n);
-    Vector& w = ws.gradient;
-    std::fill(w.begin(), w.end(), 0.0);
-    for (std::size_t r = 0; r < m; ++r)
-      kernels::axpy(b[r] - ws.ax[r], a.data() + r * n, w.data(), n);
+    // w = Aᵀ(b − A·x) = c − G·x.
+    std::vector<double>& w = ws.gradient;
+    kernels::gemv(system.gram().data(), x.data(), w.data(), n, n);
+    for (std::size_t j = 0; j < n; ++j) w[j] = c[j] - w[j];
 
     // Select the most-violating active coordinate.
     double best = options.tolerance;
@@ -146,7 +152,7 @@ NnlsResult nnls(const Matrix& a, const Vector& b, const NnlsOptions& options,
     }
     if (best_j == n) {
       // KKT satisfied: active gradients all ≤ tolerance.
-      const double residual = residual_norm_of(a, x, b);
+      const double residual = residual_norm_of(system, x, b, ws);
       assert_feasible(a, x, residual);
       return {std::move(x), residual, iter, true};
     }
@@ -157,7 +163,8 @@ NnlsResult nnls(const Matrix& a, const Vector& b, const NnlsOptions& options,
 
     // Inner loop: solve on the passive set; walk back any negative entries.
     while (true) {
-      Vector z = solve_passive(a, b, passive, ws);
+      solve_passive(system, ws);
+      const std::vector<double>& z = ws.z;
       bool all_positive = true;
       for (std::size_t i = 0; i < passive.size(); ++i)
         if (z[i] <= options.tolerance) all_positive = false;
@@ -179,69 +186,24 @@ NnlsResult nnls(const Matrix& a, const Vector& b, const NnlsOptions& options,
         const std::size_t j = passive[i];
         x[j] += alpha * (z[i] - x[j]);
       }
-      // Remove coordinates that reached (numerical) zero.
-      std::vector<std::size_t> next;
-      next.reserve(passive.size());
-      for (std::size_t j : passive) {
+      // Remove coordinates that reached (numerical) zero, keeping the
+      // passive order of the rest.
+      std::size_t kept = 0;
+      for (const std::size_t j : passive) {
         if (x[j] > options.tolerance) {
-          next.push_back(j);
+          passive[kept++] = j;
         } else {
           x[j] = 0.0;
           in_passive[j] = false;
         }
       }
-      passive = std::move(next);
+      passive.resize(kept);
       if (passive.empty()) break;
     }
   }
-  const double residual = residual_norm_of(a, x, b);
+  const double residual = residual_norm_of(system, x, b, ws);
   assert_feasible(a, x, residual);
   return {std::move(x), residual, iter, false};
-}
-
-NnlsResult nnls_projected_gradient(const Matrix& a, const Vector& b,
-                                   const ProjectedGradientOptions& options) {
-  VN2_CHECK(a.rows() == b.size(), "nnls_projected_gradient: size mismatch");
-  const std::size_t n = a.cols();
-  Vector x(n, 0.0);
-
-  // Lipschitz constant estimate of ∇½‖Ax−b‖² via ‖AᵀA‖₁ upper bound.
-  Matrix at = transpose(a);
-  Matrix gram = matmul(at, a);
-  double lipschitz = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    double rowsum = 0.0;
-    for (std::size_t j = 0; j < n; ++j) rowsum += std::abs(gram(i, j));
-    lipschitz = std::max(lipschitz, rowsum);
-  }
-  if (lipschitz <= 0.0) {
-    assert_feasible(a, x, norm2(b));
-    return {std::move(x), norm2(b), 0, true};
-  }
-  const double step = 1.0 / lipschitz;
-
-  Vector atb = matvec(at, b);
-  std::size_t iter = 0;
-  for (; iter < options.max_iterations; ++iter) {
-    // grad = AᵀA·x − Aᵀb
-    Vector grad = matvec(gram, x);
-    grad -= atb;
-    double max_move = 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-      const double next = std::max(0.0, x[j] - step * grad[j]);
-      max_move = std::max(max_move, std::abs(next - x[j]));
-      x[j] = next;
-    }
-    if (max_move < options.step_tolerance) {
-      ++iter;
-      break;
-    }
-  }
-  const bool converged = iter < options.max_iterations ||
-                         options.max_iterations == 0;
-  const double residual = residual_norm_of(a, x, b);
-  assert_feasible(a, x, residual);
-  return {std::move(x), residual, iter, converged};
 }
 
 }  // namespace vn2::linalg

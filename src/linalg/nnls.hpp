@@ -1,11 +1,12 @@
 // Non-negative least squares:  argmin_x ‖A·x − b‖²  s.t. x ≥ 0.
 //
 // This is the inference kernel of VN2 (paper, Problem 3): a fresh node state
-// s is explained as s ≈ wᵀ·Ψ with w ≥ 0, i.e. NNLS with A = Ψᵀ. Two solvers
-// are provided:
-//   * Lawson–Hanson active set — exact (to tolerance), the default.
-//   * Projected gradient — iterative, used by benchmarks as a comparison
-//     point and as a fallback for ill-conditioned systems.
+// s is explained as s ≈ wᵀ·Ψ with w ≥ 0, i.e. NNLS with A = Ψᵀ. One solver
+// is provided: Lawson–Hanson active set in the Gram form of Bro & de Jong
+// (FNNLS). G = AᵀA is built once per system; a solve forms c = Aᵀb once
+// and then works in the n-dimensional column space only: the gradient is
+// c − G·x, and each passive-set step Cholesky-solves G[P,P]·z = c[P] on
+// buffers the workspace sized once.
 #pragma once
 
 #include <cstddef>
@@ -29,40 +30,47 @@ struct NnlsResult {
   bool converged;         ///< False only if the iteration cap was hit.
 };
 
-/// Reusable scratch for the Lawson–Hanson solver: the packed passive
-/// columns, Gram matrix, rhs and residual/gradient buffers, plus the
-/// active-set bookkeeping. One solve with a warm workspace is
-/// result-identical to a cold one — every buffer is fully overwritten (or
-/// re-assigned) before its first read — so callers doing many solves of
-/// the same shape (sink-side batch inference, benchmarks) amortize the
-/// allocations away without changing a single bit of output. Not
-/// thread-safe: use one workspace per concurrent solver (e.g. one per
-/// parallel_for chunk slot).
+/// The fixed half of an NNLS problem: the m × n matrix A and its Gram
+/// matrix G = AᵀA (the SYRK kernel of the backend selected at
+/// construction). Immutable once built, so any number of threads may solve
+/// against one system concurrently, each with its own workspace.
+class NnlsSystem {
+ public:
+  explicit NnlsSystem(Matrix a);
+
+  [[nodiscard]] const Matrix& a() const noexcept { return a_; }
+  [[nodiscard]] const Matrix& gram() const noexcept { return gram_; }
+
+ private:
+  Matrix a_;
+  Matrix gram_;
+};
+
+/// Reusable scratch for one solver thread. A workspace built for a system
+/// is sized once and never grows while solving against it; a default one
+/// grows on its first solve, and the nnls.workspace.reallocs /
+/// nnls.workspace.alloc_bytes counters tally every such growth. A warm
+/// solve is bit-identical to a cold one: every buffer is overwritten before
+/// it is read.
 struct NnlsWorkspace {
-  std::vector<double> packed;  ///< rows × |passive|, row-major gather of A.
-  Matrix gram;                 ///< |passive| × |passive|.
-  Vector rhs;
-  Vector ax;        ///< A·x (residual evaluation).
-  Vector gradient;  ///< w = Aᵀ(b − A·x).
+  NnlsWorkspace() = default;
+  explicit NnlsWorkspace(const NnlsSystem& system);
+
+  std::vector<double> atb;       ///< c = Aᵀb.
+  std::vector<double> gradient;  ///< c − G·x.
+  std::vector<double> factor;    ///< G[P,P] + ridge, Cholesky'd in place.
+  std::vector<double> z;         ///< Passive-set solution.
+  std::vector<double> ax;        ///< A·x, for the final residual.
   std::vector<bool> in_passive;
   std::vector<std::size_t> passive;
 };
 
-/// Lawson–Hanson active-set NNLS. Throws on shape mismatch.
+/// Lawson–Hanson active-set NNLS against a prebuilt system. Throws on shape
+/// mismatch.
+NnlsResult nnls(const NnlsSystem& system, const Vector& b,
+                const NnlsOptions& options, NnlsWorkspace& workspace);
+
+/// One-shot form: builds the system and a workspace for this one solve.
 NnlsResult nnls(const Matrix& a, const Vector& b, const NnlsOptions& options = {});
-
-/// Workspace-reusing overload: identical results to the allocating one,
-/// with the scratch buffers recycled across calls.
-NnlsResult nnls(const Matrix& a, const Vector& b, const NnlsOptions& options,
-                NnlsWorkspace& workspace);
-
-struct ProjectedGradientOptions {
-  double step_tolerance = 1e-10;
-  std::size_t max_iterations = 5000;
-};
-
-/// Projected-gradient NNLS with Barzilai–Borwein-style step adaptation.
-NnlsResult nnls_projected_gradient(const Matrix& a, const Vector& b,
-                                   const ProjectedGradientOptions& options = {});
 
 }  // namespace vn2::linalg

@@ -7,48 +7,60 @@
 
 namespace vn2::linalg {
 
-Matrix cholesky_factor(const Matrix& a, double min_pivot) {
-  VN2_CHECK(a.rows() == a.cols(), "cholesky_factor: matrix must be square");
-  const std::size_t n = a.rows();
-  Matrix l(n, n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
+void cholesky_factor_in_place(double* a, std::size_t k, std::size_t stride,
+                              double min_pivot) {
+  VN2_CHECK(stride >= k, "cholesky_factor_in_place: stride must cover k");
+  for (std::size_t i = 0; i < k; ++i) {
+    double* li = a + i * stride;
     for (std::size_t j = 0; j <= i; ++j) {
-      double acc = a(i, j);
-      for (std::size_t k = 0; k < j; ++k) acc -= l(i, k) * l(j, k);
+      const double* lj = a + j * stride;
+      double acc = li[j];
+      for (std::size_t p = 0; p < j; ++p) acc -= li[p] * lj[p];
       if (i == j) {
         if (acc < min_pivot)
           throw std::runtime_error("cholesky_factor: matrix not SPD");
-        l(i, j) = std::sqrt(acc);
+        li[j] = std::sqrt(acc);
       } else {
-        l(i, j) = acc / l(j, j);
+        li[j] = acc / lj[j];
       }
     }
-    VN2_ASSERT(std::isfinite(l(i, i)) && l(i, i) > 0.0,
+    VN2_ASSERT(std::isfinite(li[i]) && li[i] > 0.0,
                "cholesky_factor: pivot must stay positive and finite");
   }
+}
+
+void cholesky_solve_in_place(const double* l, std::size_t k,
+                             std::size_t stride, double* b) noexcept {
+  // Forward substitution: L·y = b.
+  for (std::size_t i = 0; i < k; ++i) {
+    const double* li = l + i * stride;
+    double acc = b[i];
+    for (std::size_t p = 0; p < i; ++p) acc -= li[p] * b[p];
+    b[i] = acc / li[i];
+  }
+  // Back substitution: Lᵀ·x = y.
+  for (std::size_t ii = k; ii-- > 0;) {
+    double acc = b[ii];
+    for (std::size_t p = ii + 1; p < k; ++p) acc -= l[p * stride + ii] * b[p];
+    b[ii] = acc / l[ii * stride + ii];
+  }
+}
+
+Matrix cholesky_factor(const Matrix& a, double min_pivot) {
+  VN2_CHECK(a.rows() == a.cols(), "cholesky_factor: matrix must be square");
+  const std::size_t n = a.rows();
+  Matrix l = a;
+  cholesky_factor_in_place(l.data(), n, n, min_pivot);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = i + 1; j < n; ++j) l(i, j) = 0.0;
   return l;
 }
 
 Vector cholesky_solve(const Matrix& a, const Vector& b) {
   VN2_CHECK(a.rows() == b.size(), "cholesky_solve: size mismatch");
   const Matrix l = cholesky_factor(a);
-  const std::size_t n = a.rows();
-  // Forward substitution: L·y = b.
-  Vector y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = b[i];
-    for (std::size_t k = 0; k < i; ++k) acc -= l(i, k) * y[k];
-    y[i] = acc / l(i, i);
-  }
-  // Back substitution: Lᵀ·x = y.
-  Vector x(n);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double acc = y[ii];
-    for (std::size_t k = ii + 1; k < n; ++k) acc -= l(k, ii) * x[k];
-    x[ii] = acc / l(ii, ii);
-  }
-  VN2_ASSERT(x.size() == b.size(),
-             "cholesky_solve: solution length must match rhs");
+  Vector x = b;
+  cholesky_solve_in_place(l.data(), x.size(), x.size(), x.data());
   return x;
 }
 

@@ -159,6 +159,27 @@ if [ -x "$TOOLS/vn2_lint" ]; then
   expect_input_error "limit of 256" "$TOOLS/vn2_lint" \
       --root "$WORK/empty_root" --baseline "$WORK/deep.json"
 fi
+# Numeric options must parse whole: trailing bytes, and negative or
+# fractional counts, are usage errors (exit 2) naming the option, never a
+# silent truncation or a crash.
+expect_input_error "stats: --threads:" "$VN2" stats \
+    --trace "$WORK/trace.csv" --threads 4x
+expect_input_error "simulate: --nodes:" "$VN2" simulate --scenario tiny \
+    --nodes 12x --days 0.01 --out "$WORK/bad.csv"
+expect_input_error "simulate: --nodes:" "$VN2" simulate --scenario tiny \
+    --nodes -3 --days 0.01 --out "$WORK/bad.csv"
+expect_input_error "simulate: --nodes:" "$VN2" simulate --scenario tiny \
+    --nodes 2.5 --days 0.01 --out "$WORK/bad.csv"
+expect_input_error "simulate: --days:" "$VN2" simulate --scenario tiny \
+    --nodes 4 --days 0.01x --out "$WORK/bad.csv"
+if [ -e "$WORK/bad.csv" ]; then
+  echo "a rejected simulate still wrote its trace" >&2
+  exit 1
+fi
+if [ -x "$TOOLS/vn2_benchstat" ]; then
+  expect_input_error "bad --floor value '0.25x'" "$TOOLS/vn2_benchstat" \
+      --floor 0.25x "$WORK/prof_stdout.json" "$WORK/prof_stdout.json"
+fi
 # Error paths exit non-zero.
 if "$VN2" train --trace /nonexistent.csv --out "$WORK/x" 2>/dev/null; then
   echo "expected failure on missing trace" >&2

@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--floor" && i + 1 < argc) {
       char* end = nullptr;
       options.relative_floor = std::strtod(argv[++i], &end);
-      if (end == argv[i] || options.relative_floor < 0.0) {
+      if (end == argv[i] || *end != '\0' || options.relative_floor < 0.0) {
         std::fprintf(stderr, "vn2_benchstat: bad --floor value '%s'\n",
                      argv[i]);
         return kExitUsage;

@@ -12,11 +12,16 @@
 // snapshot), so field data exported from a real deployment can be run
 // through `train`/`diagnose` unchanged.
 #include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <optional>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -40,6 +45,12 @@ namespace {
 
 using namespace vn2;
 
+/// An option value the command cannot use; main() reports it as a usage
+/// error (exit 2) that names the option.
+struct BadOption : std::invalid_argument {
+  using std::invalid_argument::invalid_argument;
+};
+
 struct Args {
   std::map<std::string, std::string> options;
   std::map<std::string, bool> flags;
@@ -50,9 +61,31 @@ struct Args {
     auto it = options.find(key);
     return it == options.end() ? fallback : it->second;
   }
+  /// A finite number; the whole value must parse.
   [[nodiscard]] double number(const std::string& key, double fallback) const {
     auto it = options.find(key);
-    return it == options.end() ? fallback : std::stod(it->second);
+    if (it == options.end()) return fallback;
+    const std::string& text = it->second;
+    char* end = nullptr;
+    const double value = std::strtod(text.c_str(), &end);
+    if (end == text.c_str() || *end != '\0' || !std::isfinite(value))
+      throw BadOption("--" + key + ": expected a number, got '" + text + "'");
+    return value;
+  }
+  /// A count, size or seed: a non-negative whole number in decimal digits.
+  [[nodiscard]] std::uint64_t count(const std::string& key,
+                                    std::uint64_t fallback) const {
+    auto it = options.find(key);
+    if (it == options.end()) return fallback;
+    const std::string& text = it->second;
+    std::uint64_t value = 0;
+    const auto [end, error] =
+        std::from_chars(text.data(), text.data() + text.size(), value);
+    if (error != std::errc{} || end != text.data() + text.size())
+      throw BadOption("--" + key +
+                      ": expected a non-negative whole number, got '" + text +
+                      "'");
+    return value;
   }
   [[nodiscard]] bool flag(const std::string& key) const {
     auto it = flags.find(key);
@@ -158,7 +191,7 @@ scenario::ScenarioBundle make_scenario_bundle(const std::string& kind,
   if (kind == "citysee") {
     scenario::CityseeParams params;
     params.days = args.number("days", 1.0);
-    params.node_count = static_cast<std::size_t>(args.number("nodes", 286));
+    params.node_count = args.count("nodes", 286);
     params.seed = run_seed;
     bundle = scenario::citysee_field(params);
   } else if (kind == "testbed") {
@@ -167,7 +200,7 @@ scenario::ScenarioBundle make_scenario_bundle(const std::string& kind,
     bundle = scenario::testbed(params);
   } else {
     bundle =
-        scenario::tiny(static_cast<std::size_t>(args.number("nodes", 16)),
+        scenario::tiny(args.count("nodes", 16),
                        args.number("days", 0.125) * 86400.0, run_seed,
                        args.number("spacing", 8.0));
   }
@@ -181,8 +214,8 @@ int cmd_simulate(const Args& args) {
     std::fprintf(stderr, "simulate: --out is required\n");
     return 2;
   }
-  const auto seed = static_cast<std::uint64_t>(args.number("seed", 7));
-  const auto runs = static_cast<std::size_t>(args.number("runs", 1));
+  const auto seed = args.count("seed", 7);
+  const auto runs = args.count("runs", 1);
   if (runs == 0) {
     std::fprintf(stderr, "simulate: --runs must be >= 1\n");
     return 2;
@@ -267,7 +300,7 @@ int cmd_train(const Args& args) {
               trace_path.c_str());
 
   core::TrainingOptions options;
-  options.rank = static_cast<std::size_t>(args.number("rank", 0));
+  options.rank = args.count("rank", 0);
   options.exception_threshold = args.number("threshold", 0.30);
   options.skip_exception_extraction = args.flag("skip-extraction");
   const core::TrainingReport report =
@@ -315,7 +348,7 @@ int cmd_diagnose(const Args& args) {
   core::Vn2Tool tool =
       core::Vn2Tool::from_model(core::Vn2Model::load(model_path));
   const auto states = load_states(trace_path);
-  const auto top = static_cast<std::size_t>(args.number("top", 10));
+  const auto top = args.count("top", 10);
   const bool all = args.flag("all");
 
   // Rank by ε score; print the top K (or every exception with --all).
@@ -454,8 +487,7 @@ int profile_diff(const Args& args) {
   }
   telemetry::ProfDiffOptions options;
   options.relative_floor = args.number("floor", options.relative_floor);
-  options.min_delta_ns = static_cast<std::uint64_t>(args.number(
-      "min-ns", static_cast<double>(options.min_delta_ns)));
+  options.min_delta_ns = args.count("min-ns", options.min_delta_ns);
   if (options.relative_floor < 0.0) {
     std::fprintf(stderr, "profile: --floor must be non-negative\n");
     return 2;
@@ -488,8 +520,8 @@ int cmd_profile(const Args& args) {
   }
   const std::string kind = args.get("scenario", "tiny");
   if (!known_scenario(kind)) return unknown_scenario("profile", kind);
-  const auto seed = static_cast<std::uint64_t>(args.number("seed", 7));
-  const auto top = static_cast<std::size_t>(args.number("top", 12));
+  const auto seed = args.count("seed", 7);
+  const auto top = args.count("top", 12);
   // --json: machine-readable mode — the only stdout output is the
   // telemetry snapshot JSON (spans, counters, resource usage).
   const bool json = args.flag("json");
@@ -502,8 +534,7 @@ int cmd_profile(const Args& args) {
   // --sample-ms N: background resource time series over the pipeline
   // (0 disables; the sampler is also a no-op when telemetry is compiled
   // out). The series rides along in every snapshot written below.
-  const auto sample_ms =
-      static_cast<std::uint64_t>(args.number("sample-ms", 25));
+  const auto sample_ms = args.count("sample-ms", 25);
   telemetry::SamplerOptions sampler_options;
   sampler_options.interval_ms = sample_ms > 0 ? sample_ms : 1;
   telemetry::ResourceSampler sampler(sampler_options);
@@ -527,7 +558,7 @@ int cmd_profile(const Args& args) {
     return 1;
   }
   core::TrainingOptions options;
-  options.rank = static_cast<std::size_t>(args.number("rank", 0));
+  options.rank = args.count("rank", 0);
   options.exception_threshold = args.number("threshold", 0.30);
   const linalg::Matrix state_matrix = trace::states_matrix(states);
   const core::TrainingReport report = core::train(state_matrix, options);
@@ -692,8 +723,7 @@ int main(int argc, char** argv) {
     // Global thread budget: applies to every subcommand's hot paths
     // (matmul, rank sweep, batch NNLS, batch simulation).
     if (!args.get("threads").empty())
-      vn2::core::set_num_threads(
-          static_cast<std::size_t>(args.number("threads", 0)));
+      vn2::core::set_num_threads(args.count("threads", 0));
     // Global kernel backend: which dense-kernel implementation the linalg
     // hot paths dispatch to (results are backend-independent by contract).
     if (const std::string backend = args.get("linalg-backend");
@@ -729,6 +759,9 @@ int main(int argc, char** argv) {
     if (!trace_path.empty() && status == 0)
       write_telemetry_file(trace_path, /*chrome_trace=*/true);
     return status;
+  } catch (const BadOption& error) {
+    std::fprintf(stderr, "vn2 %s: %s\n", command.c_str(), error.what());
+    return 2;
   } catch (const std::exception& error) {
     std::fprintf(stderr, "vn2 %s: %s\n", command.c_str(), error.what());
     return 1;
