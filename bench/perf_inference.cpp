@@ -211,9 +211,10 @@ void run_parallel_report(const char* json_path) {
 
 // Per-backend serial diagnosis: the whole diagnose path (NNLS against Ψᵀ)
 // under every kernel backend this build-and-host can run. Diagnosis must
-// not depend on which backend ran it: reference and blocked match
-// bit-for-bit, the simd backend stays within 1e-12 relative on every
-// weight. The JSON header records the detected CPU features.
+// not depend on which backend or thread count ran it: the reference
+// weights at the parallel budget match the serial ones bit-for-bit, and
+// the simd backend stays within 1e-12 relative on every weight. The JSON
+// header records the detected CPU features.
 void run_linalg_backend_report(const char* json_path) {
   using vn2::linalg::Backend;
   // The per-backend speedup ratios are gated; the floor keeps each timed
@@ -237,19 +238,27 @@ void run_linalg_backend_report(const char* json_path) {
     return diagnoses;
   };
   std::vector<Backend> backends = {Backend::kReference};
-  if (vn2::linalg::blocked_kernels_compiled())
-    backends.push_back(Backend::kBlocked);
   if (vn2::linalg::simd_available()) backends.push_back(Backend::kSimd);
   std::vector<std::vector<double>> samples(backends.size());
   std::vector<std::vector<vn2::core::Diagnosis>> results;
   for (std::size_t k = 0; k < backends.size(); ++k)
     results.push_back(run_with(backends[k], &samples[k]));
+  // One untimed reference pass at the parallel budget.
+  const std::size_t parallel_threads = std::max<std::size_t>(
+      4, static_cast<std::size_t>(std::thread::hardware_concurrency()));
+  vn2::linalg::set_backend(Backend::kReference);
+  vn2::core::set_num_threads(parallel_threads);
+  const std::vector<vn2::core::Diagnosis> reference_mt =
+      vn2::core::diagnose_batch(report.model, probes);
   vn2::core::set_num_threads(0);
   vn2::linalg::set_backend(vn2::linalg::parse_backend("auto").value());
 
-  // Reference row is index 0; blocked must equal it exactly, simd within
-  // the documented relative tolerance.
-  bool scalar_identical = true;
+  // Reference row is index 0: its parallel pass must equal it exactly,
+  // simd must stay within the documented relative tolerance.
+  bool reference_identical = reference_mt.size() == batch;
+  for (std::size_t i = 0; reference_identical && i < batch; ++i)
+    reference_identical = reference_mt[i].residual == results[0][i].residual &&
+                          reference_mt[i].weights == results[0][i].weights;
   double max_rel_dev = 0.0;
   for (std::size_t k = 1; k < backends.size(); ++k) {
     for (std::size_t i = 0; i < batch; ++i) {
@@ -261,8 +270,6 @@ void run_linalg_backend_report(const char* json_path) {
       double d = dev(got.residual, want.residual);
       for (std::size_t r = 0; r < want.weights.size(); ++r)
         d = std::max(d, dev(got.weights[r], want.weights[r]));
-      if (backends[k] == Backend::kBlocked && d != 0.0)
-        scalar_identical = false;
       max_rel_dev = std::max(max_rel_dev, d);
     }
   }
@@ -293,10 +300,10 @@ void run_linalg_backend_report(const char* json_path) {
                     : 0.0,
                 reps);
   }
-  std::printf("diagnose_batch backends [cpu %s]: weights %s, max relative "
-              "deviation %.3e (%s 1e-12)\n",
-              vn2::linalg::cpu_features_summary().c_str(),
-              scalar_identical ? "identical" : "DIVERGED", max_rel_dev,
+  std::printf("diagnose_batch backends [cpu %s]: reference weights 1t vs "
+              "%zut %s, max relative deviation %.3e (%s 1e-12)\n",
+              vn2::linalg::cpu_features_summary().c_str(), parallel_threads,
+              reference_identical ? "identical" : "DIVERGED", max_rel_dev,
               within_tolerance ? "within" : "EXCEEDS");
 
   auto record = vn2::bench_support::make_record(
@@ -320,7 +327,7 @@ void run_linalg_backend_report(const char* json_path) {
   }
   record.cases.push_back(std::move(ratios));
   record.checks.push_back(
-      {"scalar_backends_bit_identical", scalar_identical});
+      {"reference_threads_bit_identical", reference_identical});
   record.checks.push_back({"within_parity_tolerance", within_tolerance});
   vn2::bench_support::write_record_file(json_path, record);
 }

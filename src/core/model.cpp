@@ -109,20 +109,23 @@ TrainingReport train(const Matrix& raw_states, const TrainingOptions& options) {
       StateEncoder::fit(raw_states, options.clip_sigma);
   const Matrix encoded = encoder.encode(raw_states);
 
-  // ε rule: unclipped standardized deviation from the training mean (see
-  // StateEncoder::deviation_score).
-  report.detection.scores = Vector(encoded.rows());
-  for (std::size_t i = 0; i < raw_states.rows(); ++i) {
-    report.detection.scores[i] =
-        encoder.deviation_score(raw_states.row_vector(i));
-    report.detection.max_score =
-        std::max(report.detection.max_score, report.detection.scores[i]);
-  }
-  if (report.detection.max_score > 0.0) {
-    for (std::size_t i = 0; i < encoded.rows(); ++i)
-      if (report.detection.scores[i] / report.detection.max_score >=
-          options.exception_threshold)
-        report.detection.exception_rows.push_back(i);
+  // ε rule: the norm of each encoded row, i.e. the standardized deviation
+  // from the training mean clipped at clip_sigma per metric (see
+  // StateEncoder::deviation_score), read off the rows encoded above.
+  {
+    VN2_SPAN("vn2.detect_exceptions");
+    report.detection.scores = Vector(encoded.rows());
+    for (std::size_t i = 0; i < encoded.rows(); ++i) {
+      report.detection.scores[i] = linalg::norm2(encoded.row(i));
+      report.detection.max_score =
+          std::max(report.detection.max_score, report.detection.scores[i]);
+    }
+    if (report.detection.max_score > 0.0) {
+      for (std::size_t i = 0; i < encoded.rows(); ++i)
+        if (report.detection.scores[i] / report.detection.max_score >=
+            options.exception_threshold)
+          report.detection.exception_rows.push_back(i);
+    }
   }
 
   Matrix train_input;

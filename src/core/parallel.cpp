@@ -4,26 +4,28 @@
 #include <atomic>
 #include <exception>
 #include <memory>
+#include <string>
 
 #include "telemetry/telemetry.hpp"
 
 namespace vn2::core {
 
-namespace {
-
-thread_local bool t_inside_worker = false;
-
-// One parallel region in flight: tasks are claimed by atomic increment, so
-// a fast worker takes more chunks than a slow one without any rebalancing
-// logic; `stop` short-circuits claims after the first exception.
-struct Batch {
+// The region in flight. It lives on try_run's stack; the pool publishes a
+// pointer to it for the duration. Tasks are claimed by atomic increment,
+// so a fast participant takes more tasks than a slow one without any
+// rebalancing logic; `stop` short-circuits claims after the first
+// exception.
+struct ThreadPool::Region {
   std::size_t tasks = 0;
   const std::function<void(std::size_t)>* fn = nullptr;
+  // The caller's span path: workers adopt it, so spans opened inside fn()
+  // attribute to the enclosing call tree instead of showing up as roots.
+  std::string span_path;
   std::atomic<std::size_t> next{0};
   std::atomic<bool> stop{false};
-  std::mutex mutex;
-  std::condition_variable done;
-  std::size_t helpers_left = 0;
+  std::size_t seats = 0;   // Workers that may still join (pool mutex).
+  std::size_t joined = 0;  // Workers inside work() (pool mutex).
+  std::mutex error_mutex;
   std::exception_ptr error;
 
   // Timing wrapper: one busy-time sample per participant per region, so
@@ -47,14 +49,12 @@ struct Batch {
         (*fn)(task);
       } catch (...) {
         stop.store(true, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> lock(mutex);
+        std::lock_guard<std::mutex> lock(error_mutex);
         if (!error) error = std::current_exception();
       }
     }
   }
 };
-
-}  // namespace
 
 ThreadPool::ThreadPool(std::size_t workers) {
   workers_.reserve(workers);
@@ -72,55 +72,58 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::worker_loop() {
-  t_inside_worker = true;
+  std::uint64_t seen = 0;  // Generation of the last region looked at.
+  std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    std::function<void()> job;
+    work_ready_.wait(lock, [&] {
+      return stop_ || (region_ != nullptr && generation_ != seen);
+    });
+    if (stop_) return;
+    seen = generation_;
+    Region& region = *region_;
+    if (region.seats == 0) continue;  // Full, or closed by its caller.
+    --region.seats;
+    ++region.joined;
+    lock.unlock();
     {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_ready_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ and drained.
-      job = std::move(queue_.front());
-      queue_.pop_front();
+      telemetry::SpanPathScope scope(region.span_path);
+      region.work();
     }
-    job();
+    lock.lock();
+    if (--region.joined == 0) region_done_.notify_one();
   }
 }
 
-void ThreadPool::run(std::size_t tasks,
-                     const std::function<void(std::size_t)>& fn) {
-  if (tasks == 0) return;
-
-  auto batch = std::make_shared<Batch>();
-  batch->tasks = tasks;
-  batch->fn = &fn;  // Valid: run() blocks until every helper finished.
-
-  const std::size_t helpers = std::min(workers_.size(), tasks);
-  batch->helpers_left = helpers;
-  if (helpers > 0) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      for (std::size_t i = 0; i < helpers; ++i) {
-        queue_.emplace_back([batch] {
-          batch->work();
-          {
-            std::lock_guard<std::mutex> batch_lock(batch->mutex);
-            --batch->helpers_left;
-          }
-          batch->done.notify_one();
-        });
-      }
-    }
-    work_ready_.notify_all();
+bool ThreadPool::try_run(std::size_t tasks,
+                         const std::function<void(std::size_t)>& fn) {
+  if (tasks == 0) return true;
+  Region region;
+  region.tasks = tasks;
+  region.fn = &fn;  // Valid: try_run() returns only after workers left.
+  const std::size_t seats = std::min(workers_.size(), tasks - 1);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (region_ != nullptr) return false;
+    if (seats > 0) region.span_path = telemetry::current_span_path();
+    region.seats = seats;
+    region_ = &region;
+    ++generation_;
   }
+  for (std::size_t i = 0; i < seats; ++i) work_ready_.notify_one();
 
-  batch->work();  // The caller is a full participant.
+  region.work();  // The caller is a full participant.
 
-  std::unique_lock<std::mutex> lock(batch->mutex);
-  batch->done.wait(lock, [&] { return batch->helpers_left == 0; });
-  if (batch->error) std::rethrow_exception(batch->error);
+  {
+    // Close the region to late joiners and wait for the workers inside. It
+    // stays in flight until they left, so their nested regions run inline.
+    std::unique_lock<std::mutex> lock(mutex_);
+    region.seats = 0;
+    region_done_.wait(lock, [&] { return region.joined == 0; });
+    region_ = nullptr;
+  }
+  if (region.error) std::rethrow_exception(region.error);
+  return true;
 }
-
-bool ThreadPool::inside_worker() noexcept { return t_inside_worker; }
 
 namespace {
 
@@ -162,23 +165,16 @@ void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& fn) {
   if (end <= begin) return;
   const std::size_t n = end - begin;
-  if (n == 1 || num_threads() <= 1 || ThreadPool::inside_worker()) {
-    VN2_COUNT("parallel.regions_inline");
-    VN2_COUNT_N("parallel.tasks", 1);
-    for (std::size_t i = begin; i < end; ++i) fn(i);
+  if (n > 1 && num_threads() > 1 &&
+      global_pool().try_run(n, [&](std::size_t task) { fn(begin + task); })) {
+    VN2_COUNT("parallel.regions");
+    VN2_COUNT_N("parallel.tasks", n);
     return;
   }
-  VN2_COUNT("parallel.regions");
-  VN2_COUNT_N("parallel.tasks", n);
-  // Workers inherit the submitting thread's span path, so spans opened
-  // inside fn() attribute to the enclosing call tree instead of showing
-  // up as roots. The submitting thread itself still owns its path, and
-  // SpanPathScope refuses the prefix there (its span depth is nonzero).
-  const std::string parent_path = telemetry::current_span_path();
-  global_pool().run(n, [&](std::size_t task) {
-    telemetry::SpanPathScope scope(parent_path);
-    fn(begin + task);
-  });
+  // A single index, a serial budget, or a region already in flight.
+  VN2_COUNT("parallel.regions_inline");
+  VN2_COUNT_N("parallel.tasks", 1);
+  for (std::size_t i = begin; i < end; ++i) fn(i);
 }
 
 }  // namespace vn2::core

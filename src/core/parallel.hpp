@@ -11,9 +11,12 @@
 //  * `set_num_threads(1)` (or a single-core machine) reproduces today's
 //    serial behaviour exactly: parallel_for degenerates to a plain loop on
 //    the calling thread and no pool is ever created.
-//  * No nested parallelism: a parallel_for issued from inside a pool worker
-//    runs serially inline, so e.g. the matmuls inside a parallelized rank
-//    sweep do not oversubscribe the pool (and cannot deadlock it).
+//  * One region at a time: the pool runs a single parallel region. Any
+//    parallel_for issued while a region is in flight runs serially inline
+//    on its own caller — whether it comes from a worker's task, from a task
+//    the region's caller runs itself, or from an unrelated thread. So the
+//    matmuls inside a parallelized rank sweep neither oversubscribe the
+//    pool nor wait behind busy workers, and nothing can deadlock it.
 //  * Exception safety: the first exception thrown by any task is captured
 //    and rethrown on the calling thread after all in-flight tasks drain;
 //    the pool itself stays usable.
@@ -25,7 +28,7 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
+#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -33,13 +36,13 @@
 
 namespace vn2::core {
 
-/// A fixed-size pool of worker threads executing queued jobs. The calling
-/// thread always participates in `run`, so a pool of W workers gives W + 1
-/// threads of execution.
+/// A fixed-size pool of worker threads that runs one region at a time. The
+/// calling thread always participates in `try_run`, so a pool of W workers
+/// gives W + 1 threads of execution.
 class ThreadPool {
  public:
-  /// Spawns `workers` threads (0 is valid: `run` then executes everything
-  /// on the calling thread).
+  /// Spawns `workers` threads (0 is valid: `try_run` then executes
+  /// everything on the calling thread).
   explicit ThreadPool(std::size_t workers);
   ~ThreadPool();
 
@@ -52,23 +55,29 @@ class ThreadPool {
   }
 
   /// Runs `fn(task)` for every task in [0, tasks), distributing tasks over
-  /// the workers and the calling thread; blocks until every task finished.
-  /// If any task throws, remaining unclaimed tasks are abandoned and the
-  /// first exception is rethrown here once in-flight tasks drain. The pool
-  /// remains usable afterwards.
-  void run(std::size_t tasks, const std::function<void(std::size_t)>& fn);
-
-  /// True when the calling thread is a worker of *any* ThreadPool — used to
-  /// suppress nested parallelism.
-  [[nodiscard]] static bool inside_worker() noexcept;
+  /// the workers and the calling thread; blocks until every task finished
+  /// and returns true. Returns false at once, having run nothing, when
+  /// another region is in flight on this pool — the caller then runs its
+  /// tasks itself. If any task throws, remaining unclaimed tasks are
+  /// abandoned and the first exception is rethrown here once in-flight
+  /// tasks drain. The pool remains usable afterwards.
+  bool try_run(std::size_t tasks, const std::function<void(std::size_t)>& fn);
 
  private:
+  struct Region;
+
   void worker_loop();
 
   std::vector<std::thread> workers_;
   std::mutex mutex_;
+  // Signalled when a region is posted, or on stop_.
   std::condition_variable work_ready_;
-  std::deque<std::function<void()>> queue_;
+  // Signalled when the last worker inside a region leaves it.
+  std::condition_variable region_done_;
+  // The region in flight, on its caller's stack; null when the pool idles.
+  Region* region_ = nullptr;
+  // Bumped per region, so each worker looks at a region at most once.
+  std::uint64_t generation_ = 0;
   bool stop_ = false;
 };
 
@@ -89,8 +98,8 @@ ThreadPool& global_pool();
 /// Calls `fn(i)` for every i in [begin, end) exactly once, one pool task
 /// per index; callers that want coarser tasks index chunks of their own.
 /// Runs serially inline when the budget is 1, when the range holds a
-/// single index, or when already inside a pool worker. Exceptions from
-/// `fn` propagate to the caller.
+/// single index, or when the global pool already runs a region.
+/// Exceptions from `fn` propagate to the caller.
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& fn);
 

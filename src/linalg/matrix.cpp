@@ -59,9 +59,9 @@ double dot(const Vector& a, const Vector& b) {
   return acc;
 }
 
-double norm2(const Vector& v) noexcept {
+double norm2(std::span<const double> v) noexcept {
   double acc = 0.0;
-  for (double x : v.values()) acc += x * x;
+  for (double x : v) acc += x * x;
   return std::sqrt(acc);
 }
 

@@ -61,8 +61,8 @@ Vector operator*(double s, Vector v);
 
 /// Euclidean dot product. Sizes must match.
 double dot(const Vector& a, const Vector& b);
-/// L2 norm.
-double norm2(const Vector& v) noexcept;
+/// L2 norm (of a Vector or a matrix row).
+double norm2(std::span<const double> v) noexcept;
 /// L1 norm (sum of absolute values).
 double norm1(const Vector& v) noexcept;
 /// Largest absolute entry; 0 for an empty vector.

@@ -75,6 +75,16 @@ if "$VN2" stats --trace "$WORK/trace.csv" --linalg-backend turbo \
   echo "expected usage error for unknown linalg backend" >&2
   exit 1
 fi
+# The backend names are auto, reference and simd; "blocked" is unknown
+# (exit 2), and the message lists the three.
+STATUS=0
+"$VN2" stats --trace "$WORK/trace.csv" --linalg-backend blocked \
+    >/dev/null 2>"$WORK/backend_err.txt" || STATUS=$?
+if [ "$STATUS" -ne 2 ]; then
+  echo "expected exit 2 for --linalg-backend blocked, got $STATUS" >&2
+  exit 1
+fi
+grep -q "expected auto, reference, or simd" "$WORK/backend_err.txt"
 # Forcing the simd backend on unsupported hardware is a clean usage error,
 # not a crash. VN2_CPU_FEATURES=scalar masks cpuid, so this holds on any
 # build and any host (including ones where simd would otherwise engage).
@@ -172,6 +182,17 @@ expect_input_error "simulate: --nodes:" "$VN2" simulate --scenario tiny \
     --nodes 2.5 --days 0.01 --out "$WORK/bad.csv"
 expect_input_error "simulate: --days:" "$VN2" simulate --scenario tiny \
     --nodes 4 --days 0.01x --out "$WORK/bad.csv"
+# A node count the scenario cannot lay out is a usage error naming
+# --nodes, not a failed contract that prints a source location.
+for CASE in tiny:0 citysee:0 citysee:1; do
+  expect_input_error "simulate: --nodes: the ${CASE%%:*} scenario needs" \
+      "$VN2" simulate --scenario "${CASE%%:*}" --nodes "${CASE#*:}" \
+      --days 0.01 --out "$WORK/bad.csv"
+  if grep -q "\.[ch]pp:" "$WORK/json_err.txt"; then
+    echo "simulate --nodes ${CASE#*:} printed a source path" >&2
+    exit 1
+  fi
+done
 if [ -e "$WORK/bad.csv" ]; then
   echo "a rejected simulate still wrote its trace" >&2
   exit 1

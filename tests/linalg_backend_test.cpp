@@ -1,15 +1,13 @@
-// Parity and determinism tests for the pluggable kernel backends
-// (linalg/kernels.hpp). The reference backend is the semantics oracle: the
-// other backends must agree on every shape the pipeline produces —
-// including empty, single-row/column, and sizes that don't divide the tile
-// geometry — and every backend must be bit-identical across thread counts
-// and run-to-run. Tolerances per the parity policy (DESIGN.md): blocked is
-// held to ≤1e-13 vs reference (same unfused arithmetic, dot/axpy bit-exact
-// because they share one implementation); simd is held to ≤1e-12 (fused
-// multiply-adds and lane-wise reductions round differently). The simd
-// selection logic — runtime cpuid, the VN2_CPU_FEATURES=scalar mask, and
-// the guarantee that "auto" never names an unsupported backend — is
-// covered at the bottom.
+// Parity and determinism tests for the kernel backends (linalg/kernels.hpp).
+// The reference backend is the semantics oracle: simd must agree with it
+// on every shape the pipeline produces — including empty,
+// single-row/column, and sizes that don't divide the tile geometry — and
+// every backend must be bit-identical across thread counts and run-to-run.
+// Tolerance per the parity policy (DESIGN.md): simd is held to ≤1e-12
+// relative (fused multiply-adds and lane-wise reductions round
+// differently). The simd selection logic — runtime cpuid, the
+// VN2_CPU_FEATURES=scalar mask, the process default, and the guarantee
+// that "auto" never names an unsupported backend — is covered too.
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -26,20 +24,20 @@
 namespace vn2::linalg {
 namespace {
 
-constexpr double kRelTol = 1e-13;
 constexpr double kSimdRelTol = 1e-12;
 
 /// Non-reference backends this build + host can actually run.
 std::vector<Backend> accelerated_backends() {
   std::vector<Backend> backends;
-  if (blocked_kernels_compiled()) backends.push_back(Backend::kBlocked);
   if (simd_available()) backends.push_back(Backend::kSimd);
   return backends;
 }
 
-/// Agreement bound vs the reference backend (see header comment).
-double parity_tolerance(Backend be) {
-  return be == Backend::kSimd ? kSimdRelTol : kRelTol;
+/// Every backend this build + host can actually run.
+std::vector<Backend> runnable_backends() {
+  std::vector<Backend> backends = {Backend::kReference};
+  for (Backend be : accelerated_backends()) backends.push_back(be);
+  return backends;
 }
 
 /// Applies the VN2_CPU_FEATURES=scalar cpuid mask for one scope.
@@ -65,7 +63,7 @@ class GlobalStateGuard {
   std::size_t threads_;
 };
 
-void expect_close(const Matrix& a, const Matrix& b, double rel = kRelTol) {
+void expect_close(const Matrix& a, const Matrix& b, double rel) {
   ASSERT_EQ(a.rows(), b.rows());
   ASSERT_EQ(a.cols(), b.cols());
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -75,7 +73,7 @@ void expect_close(const Matrix& a, const Matrix& b, double rel = kRelTol) {
   }
 }
 
-void expect_close(const Vector& a, const Vector& b, double rel = kRelTol) {
+void expect_close(const Vector& a, const Vector& b, double rel) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     const double scale = std::max({std::abs(a[i]), std::abs(b[i]), 1.0});
@@ -102,15 +100,21 @@ Matrix signed_random(std::size_t rows, std::size_t cols, std::uint64_t seed) {
   return random_uniform_matrix(rows, cols, seed, -1.5, 2.0);
 }
 
+// First in the file, so it also sees a fresh process when the whole binary
+// runs at once (ctest runs every test in a process of its own): a process
+// that never selected a backend runs what "auto" resolves to.
+TEST(LinalgBackend, DefaultBackendIsAuto) {
+  EXPECT_EQ(backend(), parse_backend("auto").value());
+}
+
 TEST(LinalgBackend, ParseAndNames) {
   EXPECT_EQ(parse_backend("reference"), Backend::kReference);
-  EXPECT_EQ(parse_backend("blocked"), Backend::kBlocked);
   EXPECT_EQ(parse_backend("simd"), Backend::kSimd);
   ASSERT_TRUE(parse_backend("auto").has_value());
+  EXPECT_FALSE(parse_backend("blocked").has_value());
   EXPECT_FALSE(parse_backend("fast").has_value());
   EXPECT_FALSE(parse_backend("").has_value());
   EXPECT_STREQ(backend_name(Backend::kReference), "reference");
-  EXPECT_STREQ(backend_name(Backend::kBlocked), "blocked");
   EXPECT_STREQ(backend_name(Backend::kSimd), "simd");
 }
 
@@ -118,20 +122,13 @@ TEST(LinalgBackend, SetBackendRespectsCompileGate) {
   GlobalStateGuard guard;
   set_backend(Backend::kReference);
   EXPECT_EQ(backend(), Backend::kReference);
-  set_backend(Backend::kBlocked);
-  if (blocked_kernels_compiled()) {
-    EXPECT_EQ(backend(), Backend::kBlocked);
-  } else {
-    // Reference-only build: requesting blocked silently falls back.
-    EXPECT_EQ(backend(), Backend::kReference);
-    EXPECT_EQ(parse_backend("auto"), Backend::kReference);
-  }
   set_backend(Backend::kSimd);
   if (simd_available()) {
     EXPECT_EQ(backend(), Backend::kSimd);
   } else {
-    // Compiled out or unsupported CPU: falls down the chain.
-    EXPECT_NE(backend(), Backend::kSimd);
+    // Compiled out or unsupported CPU: falls back to reference.
+    EXPECT_EQ(backend(), Backend::kReference);
+    EXPECT_EQ(parse_backend("auto"), Backend::kReference);
   }
 }
 
@@ -163,7 +160,7 @@ TEST(LinalgBackend, GemmParityAcrossShapes) {
       const Matrix actual = matmul(a, b);
       SCOPED_TRACE(::testing::Message() << backend_name(be) << " shape "
                                         << s.n << "x" << s.k << "x" << s.m);
-      expect_close(expected, actual, parity_tolerance(be));
+      expect_close(expected, actual, kSimdRelTol);
     }
   }
 }
@@ -181,7 +178,7 @@ TEST(LinalgBackend, GemvParityAcrossShapes) {
       const Vector actual = matvec(a, x);
       SCOPED_TRACE(::testing::Message()
                    << backend_name(be) << " shape " << s.n << "x" << s.k);
-      expect_close(expected, actual, parity_tolerance(be));
+      expect_close(expected, actual, kSimdRelTol);
     }
   }
 }
@@ -200,30 +197,13 @@ TEST(LinalgBackend, SyrkParityAcrossShapes) {
       kernels::syrk_upper(a.data(), rows, k, actual.data());
       SCOPED_TRACE(::testing::Message()
                    << backend_name(be) << " shape " << rows << "x" << k);
-      expect_close(expected, actual, parity_tolerance(be));
+      expect_close(expected, actual, kSimdRelTol);
       // The mirror must make G exactly symmetric in every backend.
       for (std::size_t i = 0; i < k; ++i)
         for (std::size_t j = 0; j < i; ++j)
           EXPECT_EQ(actual(i, j), actual(j, i));
     }
   }
-}
-
-TEST(LinalgBackend, DotAndAxpyAreExactAcrossScalarBackends) {
-  GlobalStateGuard guard;
-  const std::size_t n = 259;  // deliberately not a multiple of any tile
-  const Vector a = random_uniform_vector(n, 77, -3.0, 3.0);
-  const Vector b = random_uniform_vector(n, 78, -3.0, 3.0);
-  set_backend(Backend::kReference);
-  const double dot_ref = kernels::dot(a.data(), b.data(), n);
-  Vector y_ref(n, 0.5);
-  kernels::axpy(1.25, a.data(), y_ref.data(), n);
-  set_backend(Backend::kBlocked);
-  const double dot_blk = kernels::dot(a.data(), b.data(), n);
-  Vector y_blk(n, 0.5);
-  kernels::axpy(1.25, a.data(), y_blk.data(), n);
-  EXPECT_EQ(dot_ref, dot_blk);  // shared implementation: bit-exact
-  EXPECT_EQ(y_ref, y_blk);
 }
 
 // simd's dot uses lane-wise partial sums and axpy fuses the multiply-add,
@@ -258,10 +238,7 @@ TEST(LinalgBackend, MatmulBitIdenticalAcrossThreadCounts) {
   GlobalStateGuard guard;
   const Matrix a = signed_random(97, 43, 1001);
   const Matrix b = signed_random(43, 86, 1002);
-  for (Backend be :
-       {Backend::kReference, Backend::kBlocked, Backend::kSimd}) {
-    if (be == Backend::kBlocked && !blocked_kernels_compiled()) continue;
-    if (be == Backend::kSimd && !simd_available()) continue;
+  for (Backend be : runnable_backends()) {
     set_backend(be);
     core::set_num_threads(1);
     const Matrix serial = matmul(a, b);
@@ -306,10 +283,7 @@ TEST(LinalgBackend, MatmulPropagatesNanThroughZeroOperands) {
   // other codebases does — pin the IEEE behaviour for both operands.
   Matrix a = {{0.0, nan}, {1.0, 0.0}};
   Matrix b = {{1.0, 0.0}, {0.0, 1.0}};
-  for (Backend be :
-       {Backend::kReference, Backend::kBlocked, Backend::kSimd}) {
-    if (be == Backend::kBlocked && !blocked_kernels_compiled()) continue;
-    if (be == Backend::kSimd && !simd_available()) continue;
+  for (Backend be : runnable_backends()) {
     set_backend(be);
     const Matrix c = matmul(a, b);
     // Row 0 mixes NaN into every column: 0·1 + NaN·0 = NaN.
@@ -328,10 +302,7 @@ TEST(LinalgBackend, MatvecAndVecmatPropagateNonFinite) {
   const Matrix a = {{0.0, 1.0}, {2.0, 0.0}};
   const Vector x{nan, 3.0};
   const Vector w{inf, 0.0};
-  for (Backend be :
-       {Backend::kReference, Backend::kBlocked, Backend::kSimd}) {
-    if (be == Backend::kBlocked && !blocked_kernels_compiled()) continue;
-    if (be == Backend::kSimd && !simd_available()) continue;
+  for (Backend be : runnable_backends()) {
     set_backend(be);
     const Vector y = matvec(a, x);  // y[0] = 0·NaN + 1·3 = NaN
     EXPECT_TRUE(std::isnan(y[0])) << backend_name(be);
@@ -347,10 +318,7 @@ TEST(LinalgBackend, GemmRowRangeMatchesFullProduct) {
   const std::size_t n = 11, k = 7, m = 18;
   const Matrix a = signed_random(n, k, 2001);
   const Matrix b = signed_random(k, m, 2002);
-  for (Backend be :
-       {Backend::kReference, Backend::kBlocked, Backend::kSimd}) {
-    if (be == Backend::kBlocked && !blocked_kernels_compiled()) continue;
-    if (be == Backend::kSimd && !simd_available()) continue;
+  for (Backend be : runnable_backends()) {
     set_backend(be);
     Matrix full(n, m), pieces(n, m);
     kernels::gemm_rows(a.data(), b.data(), full.data(), k, m, 0, n);
@@ -384,12 +352,10 @@ TEST(LinalgBackend, ForcedSimdFallsBackUnderCpuMask) {
   GlobalStateGuard guard;
   CpuMaskGuard mask;
   set_backend(Backend::kSimd);
-  // Clean fallback, never an unsupported selection: blocked when compiled
-  // in, reference otherwise (loud failure is the CLI's job, which checks
-  // simd_available() before calling set_backend).
-  EXPECT_NE(backend(), Backend::kSimd);
-  EXPECT_EQ(backend(), blocked_kernels_compiled() ? Backend::kBlocked
-                                                  : Backend::kReference);
+  // Clean fallback to reference, never an unsupported selection (loud
+  // failure is the CLI's job, which checks simd_available() before
+  // calling set_backend).
+  EXPECT_EQ(backend(), Backend::kReference);
 }
 
 TEST(LinalgBackend, AutoUnderCpuMaskAvoidsSimd) {

@@ -1,13 +1,17 @@
 // The parallel execution layer: index coverage over range sizes and offsets,
-// bit-identical results across thread counts for every parallelized hot
-// path (matmul, rank_sweep, diagnose_batch), and clean pool shutdown when
-// a task throws.
+// the one-region-at-a-time nesting rule (from workers, from the caller's
+// own tasks, and from unrelated threads), bit-identical results across
+// thread counts for every parallelized hot path (matmul, rank_sweep,
+// diagnose_batch), and clean pool shutdown when a task throws.
 #include "core/parallel.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -78,16 +82,78 @@ TEST_F(ParallelTest, NestedParallelForRunsInlineInTheOuterTask) {
   parallel_for(0, 8, [&](std::size_t outer) {
     const std::thread::id outer_thread = std::this_thread::get_id();
     parallel_for(0, 32, [&](std::size_t inner) {
-      // No nested fan-out: the inner loop must stay on the outer task's
-      // thread (workers inline, and the caller-thread path has the whole
-      // pool busy only with outer chunks).
-      if (ThreadPool::inside_worker()) {
-        EXPECT_EQ(std::this_thread::get_id(), outer_thread);
-      }
+      // No nested fan-out: the inner loop stays on the outer task's
+      // thread, on a worker and on the calling thread alike.
+      EXPECT_EQ(std::this_thread::get_id(), outer_thread);
       counts[outer * 32 + inner].fetch_add(1);
     });
   });
   for (auto& c : counts) EXPECT_EQ(c.load(), 1);
+}
+
+// A task on the calling thread opens a nested region while a worker's task
+// waits for that nested region to finish. The nested region must run
+// inline on the caller; were it to queue work for the pool's only worker
+// (busy with the outer task) and wait for it, the worker's bounded wait
+// would time out.
+TEST_F(ParallelTest, CallerTaskNestedRegionDoesNotWaitOnBusyWorkers) {
+  set_num_threads(2);  // One worker plus the calling thread.
+  const std::thread::id caller = std::this_thread::get_id();
+  constexpr auto kPatience = std::chrono::seconds(2);
+  std::mutex mutex;
+  std::condition_variable changed;
+  bool worker_waiting = false;
+  bool nested_done = false;
+  bool worker_saw_nested = false;
+  std::atomic<int> nested_total{0};
+  parallel_for(0, 2, [&](std::size_t) {
+    std::unique_lock<std::mutex> lock(mutex);
+    if (std::this_thread::get_id() != caller) {
+      worker_waiting = true;
+      changed.notify_all();
+      worker_saw_nested =
+          changed.wait_for(lock, kPatience, [&] { return nested_done; });
+      return;
+    }
+    if (nested_done) return;  // The caller ran both outer tasks.
+    changed.wait_for(lock, kPatience, [&] { return worker_waiting; });
+    lock.unlock();
+    parallel_for(0, 16, [&](std::size_t) { nested_total.fetch_add(1); });
+    lock.lock();
+    nested_done = true;
+    changed.notify_all();
+  });
+  EXPECT_EQ(nested_total.load(), 16);
+  EXPECT_TRUE(nested_done);
+  if (worker_waiting) {
+    EXPECT_TRUE(worker_saw_nested)
+        << "the caller's nested region waited on the busy worker";
+  }
+}
+
+// Two unrelated threads share the global pool: one region runs on it, the
+// other inline on its own caller, and each covers its range exactly once.
+TEST_F(ParallelTest, ConcurrentCallersFromPlainThreadsEachCoverEveryIndex) {
+  set_num_threads(4);
+  (void)global_pool();  // Create the pool before the callers race for it.
+  constexpr std::size_t kN = 2000;
+  for (int round = 0; round < 20; ++round) {
+    std::vector<std::atomic<int>> a(kN), b(kN);
+    for (auto& c : a) c.store(0);
+    for (auto& c : b) c.store(0);
+    std::thread first([&] {
+      parallel_for(0, kN, [&](std::size_t i) { a[i].fetch_add(1); });
+    });
+    std::thread second([&] {
+      parallel_for(0, kN, [&](std::size_t i) { b[i].fetch_add(1); });
+    });
+    first.join();
+    second.join();
+    for (std::size_t i = 0; i < kN; ++i) {
+      ASSERT_EQ(a[i].load(), 1) << "first caller, i=" << i;
+      ASSERT_EQ(b[i].load(), 1) << "second caller, i=" << i;
+    }
+  }
 }
 
 TEST_F(ParallelTest, ThreadPoolRunIsReusable) {
@@ -96,9 +162,21 @@ TEST_F(ParallelTest, ThreadPoolRunIsReusable) {
   for (int round = 0; round < 3; ++round) {
     std::vector<std::atomic<int>> counts(257);
     for (auto& c : counts) c.store(0);
-    pool.run(counts.size(), [&](std::size_t i) { counts[i].fetch_add(1); });
+    ASSERT_TRUE(pool.try_run(counts.size(),
+                             [&](std::size_t i) { counts[i].fetch_add(1); }));
     for (auto& c : counts) ASSERT_EQ(c.load(), 1);
   }
+}
+
+TEST_F(ParallelTest, TryRunRefusesWhileARegionIsInFlight) {
+  ThreadPool pool(2);
+  std::atomic<int> refused{0};
+  ASSERT_TRUE(pool.try_run(6, [&](std::size_t) {
+    if (!pool.try_run(4, [](std::size_t) {})) refused.fetch_add(1);
+  }));
+  EXPECT_EQ(refused.load(), 6);
+  // Free again once the region closed.
+  EXPECT_TRUE(pool.try_run(4, [](std::size_t) {}));
 }
 
 TEST_F(ParallelTest, ThrowingTaskPropagatesAndPoolStaysUsable) {
@@ -120,14 +198,14 @@ TEST_F(ParallelTest, ThrowingTaskPropagatesAndPoolStaysUsable) {
 TEST_F(ParallelTest, ThrowingTaskOnBareThreadPoolPropagates) {
   ThreadPool pool(2);
   EXPECT_THROW(
-      pool.run(100,
-               [](std::size_t i) {
-                 if (i == 42) throw std::invalid_argument("task 42");
-               }),
+      (void)pool.try_run(100,
+                         [](std::size_t i) {
+                           if (i == 42) throw std::invalid_argument("task 42");
+                         }),
       std::invalid_argument);
   // Still alive afterwards.
   std::atomic<int> total{0};
-  pool.run(10, [&](std::size_t) { total.fetch_add(1); });
+  EXPECT_TRUE(pool.try_run(10, [&](std::size_t) { total.fetch_add(1); }));
   EXPECT_EQ(total.load(), 10);
 }
 

@@ -146,11 +146,10 @@ int usage() {
       "global options (before or after the command):\n"
       "  --threads N   thread budget for analysis/simulation hot paths\n"
       "                (default: hardware concurrency; 1 = fully serial)\n"
-      "  --linalg-backend auto|reference|blocked|simd\n"
-      "                dense-kernel implementation (auto picks the fastest\n"
-      "                the build and host CPU support: simd, else blocked,\n"
-      "                else reference; forcing simd on unsupported hardware\n"
-      "                is an error)\n"
+      "  --linalg-backend auto|reference|simd\n"
+      "                dense-kernel implementation (default auto: simd when\n"
+      "                the build and host CPU support it, else reference;\n"
+      "                forcing simd on unsupported hardware is an error)\n"
       "  --telemetry FILE        write a telemetry snapshot (JSON) on exit\n"
       "  --telemetry-trace FILE  write spans as chrome://tracing JSON on "
       "exit\n");
@@ -182,6 +181,18 @@ int unknown_scenario(const char* command, const std::string& kind) {
   return 2;
 }
 
+/// --nodes for a scenario that cannot lay out fewer than `minimum` nodes.
+std::size_t node_count(const Args& args, const std::string& kind,
+                       std::uint64_t fallback, std::uint64_t minimum) {
+  const std::uint64_t nodes = args.count("nodes", fallback);
+  if (nodes < minimum)
+    throw BadOption("--nodes: the " + kind + " scenario needs at least " +
+                    std::to_string(minimum) + " node" +
+                    (minimum == 1 ? "" : "s") + ", got " +
+                    std::to_string(nodes));
+  return nodes;
+}
+
 /// Builds one scenario replication from CLI options (shared by simulate
 /// and profile). `run_seed` already includes any per-run offset.
 scenario::ScenarioBundle make_scenario_bundle(const std::string& kind,
@@ -191,7 +202,7 @@ scenario::ScenarioBundle make_scenario_bundle(const std::string& kind,
   if (kind == "citysee") {
     scenario::CityseeParams params;
     params.days = args.number("days", 1.0);
-    params.node_count = args.count("nodes", 286);
+    params.node_count = node_count(args, kind, 286, 2);
     params.seed = run_seed;
     bundle = scenario::citysee_field(params);
   } else if (kind == "testbed") {
@@ -200,7 +211,7 @@ scenario::ScenarioBundle make_scenario_bundle(const std::string& kind,
     bundle = scenario::testbed(params);
   } else {
     bundle =
-        scenario::tiny(args.count("nodes", 16),
+        scenario::tiny(node_count(args, kind, 16, 1),
                        args.number("days", 0.125) * 86400.0, run_seed,
                        args.number("spacing", 8.0));
   }
@@ -732,7 +743,7 @@ int main(int argc, char** argv) {
       if (!parsed.has_value()) {
         std::fprintf(stderr,
                      "vn2: unknown --linalg-backend '%s' "
-                     "(expected auto, reference, blocked, or simd)\n",
+                     "(expected auto, reference, or simd)\n",
                      backend.c_str());
         return 2;
       }
